@@ -2,7 +2,9 @@
 """Benchmark the Dinic kernel: numba-compiled vs pure Python.
 
 Solves the same batch of random split-vertex hypergraph networks with both
-backends and reports per-solve times and the speedup.  Run directly:
+backends, each on its own containers (Python lists for the interpreter,
+int64 arrays for numba), and reports per-solve times and the speedup.
+Without numba only the Python kernel runs.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -39,9 +41,13 @@ def make_instances(count: int, rng: np.random.Generator):
         sinks = ElementSubset.of(n, [int(picks[1])])
         extra = [(net.super_source, v, INF) for v in sources]
         extra += [(v, net.super_sink, INF) for v in sinks]
-        to, cap, head, nxt = extend_forward_star(*net._base, extra)
-        jobs.append((net.node_count, net.super_source, net.super_sink, to, cap, head, nxt))
+        star = [[int(x) for x in seq] for seq in extend_forward_star(*net._base, extra)]
+        jobs.append((net.node_count, net.super_source, net.super_sink, *star))
     return jobs
+
+
+def as_arrays(jobs):
+    return [(*job[:3], *(np.array(seq, np.int64) for seq in job[3:])) for job in jobs]
 
 
 def run_backend(name, dinic, reachable, jobs):
@@ -73,11 +79,13 @@ def main() -> None:
         run_backend("python", dinic_python, reachable_python, jobs)
         return
 
+    array_jobs = as_arrays(jobs)
     # warm the JIT outside the timed region
-    warm = jobs[0]
+    warm = array_jobs[0]
     dinic_numba(warm[0], warm[1], warm[2], warm[3], warm[4].copy(), warm[5], warm[6])
+    reachable_numba(warm[0], warm[1], warm[3], warm[4].copy(), warm[5], warm[6])
 
-    flows_numba, t_numba = run_backend("numba", dinic_numba, reachable_numba, jobs)
+    flows_numba, t_numba = run_backend("numba", dinic_numba, reachable_numba, array_jobs)
     flows_py, t_py = run_backend("python", dinic_python, reachable_python, jobs)
     assert flows_numba == flows_py, "backends disagree"
     print(f"\nspeedup: {t_py / t_numba:.1f}x (identical flow values on all solves)")

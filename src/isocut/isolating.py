@@ -31,7 +31,7 @@ class TerminalSet:
         if len(terminals) < 2:
             raise ValueError("need at least 2 terminals")
         self.terminals = terminals
-        self.members = tuple(terminals)
+        self.members = tuple([*terminals])  # from a list: see hypergraph.Hypergraph.__init__
 
     @property
     def n(self) -> int:

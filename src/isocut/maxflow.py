@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._kernels import (
     INF,
     build_forward_star,
@@ -69,7 +67,7 @@ def max_flow(net: FlowNetwork) -> CutResult:
     to, cap, head, nxt = build_forward_star(net.node_count, net.arcs)
     flow = solve_max_flow(net.node_count, net.source, net.sink, to, cap, head, nxt)
     reach = residual_reachable(net.node_count, net.source, to, cap, head, nxt)
-    side = frozenset(int(i) for i in np.flatnonzero(reach))
+    side = frozenset(i for i in range(net.node_count) if reach[i])
     saturated = tuple(
         i for i, (_, _, c) in enumerate(net.arcs)
         if c != INF and c > 0 and cap[2 * i] == 0

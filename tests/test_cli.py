@@ -97,6 +97,37 @@ class TestMincut:
         assert result.exit_code == 0
         assert json.loads(result.stdout)["min_cut_value"] == 1
 
+    @staticmethod
+    def assert_parse_error(runner, path, where):
+        result = runner.invoke(cli.main, ["mincut", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert where in result.stderr
+
+    def test_json_edges_not_a_list_exits_1(self, runner, tmp_path):
+        path = write(tmp_path, "bad.json", '{"n": 3, "edges": 5}')
+        self.assert_parse_error(runner, path, "'edges' must be a list")
+
+    def test_json_verts_not_a_list_exits_1(self, runner, tmp_path):
+        for verts in ("7", "[]"):
+            path = write(tmp_path, "bad.json", f'{{"n": 3, "edges": [{{"verts": {verts}}}]}}')
+            self.assert_parse_error(runner, path, "edge 0 needs a non-empty 'verts' list")
+
+    def test_json_bools_rejected(self, runner, tmp_path):
+        path = write(tmp_path, "vert.json", '{"n": 3, "edges": [{"verts": [true, 2]}]}')
+        self.assert_parse_error(runner, path, "edge 0 has vertex True")
+        path = write(tmp_path, "weight.json", '{"n": 3, "edges": [{"verts": [1, 2], "w": true}]}')
+        self.assert_parse_error(runner, path, "edge 0 has bad weight True")
+
+    def test_non_utf8_file_exits_1_with_line(self, runner, tmp_path):
+        path = tmp_path / "latin1.hgr"
+        path.write_bytes(b"1 3\n1 2\xff 3\n")
+        self.assert_parse_error(runner, str(path), "line 2: not UTF-8")
+
+    def test_overflowing_weight_exits_1_with_line(self, runner, tmp_path):
+        path = write(tmp_path, "heavy.hgr", f"2 3 1\n{1 << 59} 1 2\n{1 << 59} 2 3\n")
+        self.assert_parse_error(runner, path, "line 3: total edge weight")
+
 
 class TestIsolate:
     def test_star_terminals(self, runner, tmp_path):
