@@ -43,7 +43,6 @@ from .hypergraph import (
     parse_hypergraph,
     parse_hypergraph_json,
     serialize_hypergraph,
-    sfm_cutfunction,
     st_mincut,
 )
 from .isolating import IsolatingResult, IsolatingStats, TerminalSet, bipartitions, isolating_sets
@@ -100,6 +99,5 @@ __all__ = [
     "sample_terminals",
     "serialize_hypergraph",
     "sfm_bruteforce",
-    "sfm_cutfunction",
     "st_mincut",
 ]

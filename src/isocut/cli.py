@@ -31,7 +31,7 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .isolating import TerminalSet, isolating_sets
-from .sfm import BruteForceBlackbox, bruteforce_nontrivial_min
+from .sfm import DEFAULT_BRUTEFORCE_CAP, BruteForceBlackbox, bruteforce_nontrivial_min
 
 VERIFY_CAP = 14
 
@@ -57,14 +57,23 @@ def _decode_utf8(data: bytes) -> str:
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
+    """Read a hypergraph with at least 2 vertices, or exit 1 with ``<path>: <reason>``."""
     try:
         text = _decode_utf8(Path(path).read_bytes())
         if path.endswith(".json") or text.lstrip().startswith("{"):
-            return parse_hypergraph_json(text)
-        return parse_hypergraph(text)
+            h = parse_hypergraph_json(text)
+        else:
+            h = parse_hypergraph(text)
+    except OSError as e:
+        click.echo(f"{path}: {e.strerror or e}", err=True)
+        sys.exit(1)
     except HypergraphParseError as e:
         click.echo(f"{path}: {e}", err=True)
         sys.exit(1)
+    if h.n < 2:
+        click.echo(f"{path}: needs at least 2 vertices, got n={h.n}", err=True)
+        sys.exit(1)
+    return h
 
 
 def _emit(report: dict, as_json: bool, text_lines) -> None:
@@ -90,18 +99,15 @@ def main():
 @click.option("--reps", type=int, default=None, help="Sampling repetitions per k (default: ceil(12 log2 n)).")
 @click.option("--verify", is_flag=True, help="Cross-check against brute force (n <= 14).")
 @click.option("--json/--text", "as_json", default=True, help="Output format (default JSON).")
-@click.option("--threads", type=int, default=1, show_default=True, help="Workers for per-cell solves.")
-def mincut(file, seed, reps, verify, as_json, threads):
+def mincut(file, seed, reps, verify, as_json):
     """Global min cut of a hypergraph file (hMETIS-style text or JSON mirror)."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     if reps is not None and reps < 1:
         raise click.UsageError("--reps must be >= 1")
     seed = _resolve_seed(seed)
     h = _load_hypergraph(file)
     cfg = DriverConfig(rng_seed=seed, repetitions_per_k=reps)
     start = time.perf_counter()
-    res = hypergraph_mincut(h, cfg, threads=threads)
+    res = hypergraph_mincut(h, cfg)
     elapsed = time.perf_counter() - start
 
     verdict = None
@@ -120,7 +126,6 @@ def mincut(file, seed, reps, verify, as_json, threads):
         "n": res.n,
         "m": res.m,
         "p": res.p,
-        "flow_calls": res.flow_calls,
         "blackbox_calls": res.blackbox_calls,
         "seed": seed,
         "trials": res.trials,
@@ -134,7 +139,7 @@ def mincut(file, seed, reps, verify, as_json, threads):
         f"min cut value: {res.value}",
         f"side (1-indexed): {_one_indexed(res.side)}",
         f"n={res.n} m={res.m} p={res.p}",
-        f"flow calls: {res.flow_calls}  blackbox calls: {res.blackbox_calls}  trials: {res.trials}",
+        f"blackbox calls: {res.blackbox_calls}  trials: {res.trials}",
         f"seed: {seed}",
     ] + ([f"verification: {verdict}"] if verdict else []))
     click.echo(f"wall time: {elapsed:.3f}s  backend: {_kernels.BACKEND}", err=True)
@@ -147,11 +152,8 @@ def mincut(file, seed, reps, verify, as_json, threads):
 @click.option("--terminals", required=True, help="Comma-separated 1-indexed vertices, at least two.")
 @click.option("--seed", type=int, default=None, help="Echoed into the report; the computation is deterministic.")
 @click.option("--json/--text", "as_json", default=False, help="Output format (default text table).")
-@click.option("--threads", type=int, default=1, show_default=True)
-def isolate(file, terminals, seed, as_json, threads):
+def isolate(file, terminals, seed, as_json):
     """Minimum isolating sets of a hypergraph's cut function for given terminals."""
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     seed = _resolve_seed(seed)
     h = _load_hypergraph(file)
     try:
@@ -168,7 +170,7 @@ def isolate(file, terminals, seed, as_json, threads):
 
     oracle = CutOracle(h)
     ts = TerminalSet(oracle.ground.subset([v - 1 for v in ids]))
-    iso = isolating_sets(oracle, ts, HypergraphFlowBlackbox(h), threads=threads)
+    iso = isolating_sets(oracle, ts, HypergraphFlowBlackbox(h))
     cell_total = sum(len(c) for c in iso.cells.values())
     assert cell_total <= h.n
 
@@ -247,14 +249,16 @@ def sfm(demo, seed, reps, as_json):
             raise click.UsageError(f"concave demo needs an integer size, got {arg!r}")
         if n < 2:
             raise click.UsageError("concave demo needs n >= 2")
-        ground = GroundSet(n)
-        oracle = SubmodularOracle(
-            ground, lambda s: min(len(s), n - len(s)),
-            symmetric=True, max_abs_value_hint=n // 2,
-        )
+        oracle = SubmodularOracle(GroundSet(n), lambda s: min(len(s), n - len(s)), symmetric=True)
         label = f"concave:{n}"
     else:
         raise click.UsageError(f"unknown demo family {family!r} (use cut:<file> or concave:<n>)")
+    # every blackbox call forces at least one element in and one out
+    if oracle.ground.n - 2 > DEFAULT_BRUTEFORCE_CAP:
+        raise click.UsageError(
+            f"sfm demo needs n <= {DEFAULT_BRUTEFORCE_CAP + 2}: the brute-force blackbox "
+            f"is capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got n={oracle.ground.n}"
+        )
 
     cfg = DriverConfig(rng_seed=seed, repetitions_per_k=reps)
     start = time.perf_counter()

@@ -8,7 +8,6 @@ equality, intersection and complement are exact at any n.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -38,24 +37,13 @@ class OracleContractError(RuntimeError):
 
 @dataclass(frozen=True)
 class GroundSet:
-    """Universe of ``n`` elements identified by dense indices 0..n-1.
-
-    ``labels`` are display-only; no algorithm looks at them.
-    """
+    """Universe of ``n`` elements identified by dense indices 0..n-1."""
 
     n: int
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"ground set needs n >= 1, got {self.n}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.n:
-                raise ValueError("labels length must equal n")
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
 
     def empty(self) -> "ElementSubset":
         return ElementSubset(self.n, 0)
@@ -156,25 +144,15 @@ class SubmodularOracle:
     """Counting wrapper around an exact integer-valued set function.
 
     ``evaluate`` is the only query channel; the counter increments exactly
-    once per call and is lock-protected so concurrent read-only evaluation
-    keeps exact accounting.  ``symmetric`` is a claim, spot-checkable with
+    once per call.  ``symmetric`` is a claim, spot-checkable with
     :func:`check_symmetric`.
     """
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        fn: Callable[[ElementSubset], int],
-        *,
-        symmetric: bool = False,
-        max_abs_value_hint: Optional[int] = None,
-    ):
+    def __init__(self, ground: GroundSet, fn: Callable[[ElementSubset], int], *, symmetric: bool = False):
         self.ground = ground
         self._fn = fn
         self.symmetric = bool(symmetric)
-        self.max_abs_value_hint = max_abs_value_hint
         self._queries = 0
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -192,8 +170,7 @@ class SubmodularOracle:
     def evaluate(self, subset: ElementSubset) -> int:
         if subset.n != self.ground.n:
             raise ValueError("subset does not live in this oracle's ground set")
-        with self._lock:
-            self._queries += 1
+        self._queries += 1
         value = self._fn(subset)
         try:
             return operator.index(value)

@@ -61,7 +61,6 @@ class DriverConfig:
     rng_seed: int = 0
     repetitions_per_k: Optional[int] = None
     k_schedule: Optional[tuple[int, ...]] = None
-    min_terminals: int = 2
 
     def __post_init__(self) -> None:
         if not 0 <= self.rng_seed < (1 << 64):
@@ -72,8 +71,6 @@ class DriverConfig:
             object.__setattr__(self, "k_schedule", tuple(int(k) for k in self.k_schedule))
             if not self.k_schedule or any(k < 1 for k in self.k_schedule):
                 raise ValueError("k_schedule entries must be >= 1")
-        if self.min_terminals < 2:
-            raise ValueError("min_terminals must be >= 2")
 
     def resolved_repetitions(self, n: int) -> int:
         if self.repetitions_per_k is not None:
@@ -115,7 +112,6 @@ class AtKResult:
     trials_run: int
     trials_skipped: int
     blackbox_calls: int
-    step2_rep_total: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,6 @@ class MinimizerResult:
     trials_run: int
     blackbox_calls_total: int
     per_k_breakdown: tuple[AtKResult, ...]
-    step2_rep_total: Optional[int]
 
 
 def _candidate_key(value: int, side: ElementSubset) -> tuple[int, int, int]:
@@ -146,7 +141,6 @@ def find_nontrivial_minimizer_at_k(
     cfg: DriverConfig,
     blackbox,
     observer: Optional[TrialObserver] = None,
-    threads: int = 1,
 ) -> AtKResult:
     """Run the repetitions for one sampling rate 1/k and keep the best side.
 
@@ -166,22 +160,16 @@ def find_nontrivial_minimizer_at_k(
     best: Optional[tuple[ElementSubset, int]] = None
     calls = 0
     skipped = 0
-    rep_total: Optional[int] = 0
     for _ in range(reps):
         sample = sample_terminals(n, k, rng)
-        if len(sample) < cfg.min_terminals or (len(sample) == n and n > 2):
+        if len(sample) < 2 or (len(sample) == n and n > 2):
             skipped += 1
             continue
         terminals = TerminalSet(sample)
-        iso = isolating_sets(f, terminals, blackbox, threads=threads)
+        iso = isolating_sets(f, terminals, blackbox)
         if observer is not None:
             observer(terminals, iso)
         calls += iso.stats.step1_calls + iso.stats.step2_calls
-        if rep_total is not None:
-            rep_total = (
-                None if iso.stats.step2_rep_total is None
-                else rep_total + iso.stats.step2_rep_total
-            )
         for v, s_v in iso.isolating_sets.items():
             if not 0 < len(s_v) < n:
                 continue
@@ -198,7 +186,6 @@ def find_nontrivial_minimizer_at_k(
         trials_run=reps,
         trials_skipped=skipped,
         blackbox_calls=calls,
-        step2_rep_total=rep_total,
     )
 
 
@@ -207,7 +194,6 @@ def find_nontrivial_minimizer(
     cfg: DriverConfig,
     blackbox,
     observer: Optional[TrialObserver] = None,
-    threads: int = 1,
 ) -> MinimizerResult:
     """Sweep the k schedule and return the cheapest side seen anywhere.
 
@@ -224,14 +210,11 @@ def find_nontrivial_minimizer(
     best: Optional[tuple[ElementSubset, int]] = None
     trials = 0
     calls = 0
-    rep_total: Optional[int] = 0
     for k in schedule:
-        res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox, observer=observer, threads=threads)
+        res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox, observer=observer)
         per_k.append(res)
         trials += res.trials_run
         calls += res.blackbox_calls
-        if rep_total is not None:
-            rep_total = None if res.step2_rep_total is None else rep_total + res.step2_rep_total
         if res.best_set is not None:
             key = _candidate_key(res.best_value, res.best_set)
             if best_key is None or key < best_key:
@@ -248,5 +231,4 @@ def find_nontrivial_minimizer(
         trials_run=trials,
         blackbox_calls_total=calls,
         per_k_breakdown=tuple(per_k),
-        step2_rep_total=rep_total,
     )

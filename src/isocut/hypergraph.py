@@ -29,7 +29,6 @@ __all__ = [
     "st_mincut",
     "ContractedInstance",
     "contracted_instance",
-    "sfm_cutfunction",
     "HypergraphFlowBlackbox",
     "connected_components",
     "HypergraphMincutResult",
@@ -87,7 +86,6 @@ class Hypergraph:
         # ~3 MB more memory than it needs.
         self.edges: tuple[tuple[tuple[int, ...], int], ...] = tuple([(vs, merged[vs]) for vs in order])
         self.p = sum(len(vs) for vs, _ in self.edges)
-        self.total_weight = sum(w for _, w in self.edges)
         self._masks = tuple([(sum(1 << v for v in vs), w) for vs, w in self.edges])
 
     @property
@@ -117,12 +115,7 @@ class CutOracle(SubmodularOracle):
 
     def __init__(self, h: Hypergraph):
         self.hypergraph = h
-        super().__init__(
-            GroundSet(h.n),
-            lambda s: cut_value(h, s),
-            symmetric=True,
-            max_abs_value_hint=h.total_weight,
-        )
+        super().__init__(GroundSet(h.n), lambda s: cut_value(h, s), symmetric=True)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
@@ -345,17 +338,6 @@ def contracted_instance(h: Hypergraph, v: int, cell: ElementSubset) -> Contracte
     )
 
 
-def sfm_cutfunction(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
-    """Minimal-minimizer SFM for the contracted cut function, via one flow solve.
-
-    Agrees with brute-force minimization of the contracted cut oracle in both
-    value and minimizer.  Charged as a single blackbox call.
-    """
-    _check_terminal_sides(h, forced_in, forced_out)
-    flow, side = st_mincut(h, forced_in, forced_out)
-    return SfmResult(side - forced_in, flow, oracle_queries_used=0, rep_size=h.p)
-
-
 class HypergraphFlowBlackbox:
     """SFM blackbox for cut oracles, answered by exact max flow.
 
@@ -420,14 +402,13 @@ def connected_components(h: Hypergraph) -> list[ElementSubset]:
 
 @dataclass(frozen=True)
 class HypergraphMincutResult:
-    """Global min cut plus the flow-call and instance-size accounting."""
+    """Global min cut plus the blackbox-call and instance-size accounting."""
 
     value: int
     side: ElementSubset
     n: int
     m: int
     p: int
-    flow_calls: int
     blackbox_calls: int
     trials: int
     oracle_queries: int
@@ -437,7 +418,7 @@ class HypergraphMincutResult:
     driver: Optional[MinimizerResult]
 
 
-def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig(), threads: int = 1) -> HypergraphMincutResult:
+def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> HypergraphMincutResult:
     """Global hypergraph min cut via the randomized driver over flow solves.
 
     Disconnected inputs short-circuit to value 0 with a component as the
@@ -451,7 +432,7 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig(), threads
         side = canonical_side(comps[0])
         return HypergraphMincutResult(
             value=0, side=side, n=h.n, m=h.m, p=h.p,
-            flow_calls=0, blackbox_calls=0, trials=0, oracle_queries=0,
+            blackbox_calls=0, trials=0, oracle_queries=0,
             step2_rep_total=0, step2_rep_max_ratio=0.0, step2_rep_bound_ok=True,
             driver=None,
         )
@@ -470,14 +451,13 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig(), threads
         if rep > 4 * bound_base:
             audit["ok"] = False
 
-    res = find_nontrivial_minimizer(oracle, cfg, blackbox, observer=observe, threads=threads)
+    res = find_nontrivial_minimizer(oracle, cfg, blackbox, observer=observe)
     return HypergraphMincutResult(
         value=res.best_value,
         side=res.best_set,
         n=h.n,
         m=h.m,
         p=h.p,
-        flow_calls=res.blackbox_calls_total,
         blackbox_calls=res.blackbox_calls_total,
         trials=res.trials_run,
         oracle_queries=oracle.query_count,

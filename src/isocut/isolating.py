@@ -14,7 +14,6 @@ the per-terminal calls linear in the instance size.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,13 +81,11 @@ class IsolatingResult:
     stats: IsolatingStats
 
 
-def isolating_sets(f, terminals: TerminalSet, blackbox, threads: int = 1) -> IsolatingResult:
+def isolating_sets(f, terminals: TerminalSet, blackbox) -> IsolatingResult:
     """Compute the minimum isolating sets of ``f`` w.r.t. ``terminals``.
 
     ``blackbox`` is any callable ``(f, forced_in, forced_out) -> SfmResult``
-    honouring the minimal-minimizer contract.  Round-2 calls touch disjoint
-    ground sets and may run on ``threads`` workers; the result is identical
-    to sequential execution.
+    honouring the minimal-minimizer contract.
     """
     if f.ground.n != terminals.n:
         raise ValueError("terminals do not live in the oracle's ground set")
@@ -110,21 +107,13 @@ def isolating_sets(f, terminals: TerminalSet, blackbox, threads: int = 1) -> Iso
             cell &= side if v in side else side.complement()
         cells[v] = cell
 
-    def solve_cell(v: int) -> tuple[int, SfmResult]:
-        outside = cells[v].complement()
-        return v, blackbox(f, ElementSubset.of(terminals.n, (v,)), outside)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve_cell, terminals.members))
-    else:
-        solved = [solve_cell(v) for v in terminals.members]
-
     iso: dict[int, ElementSubset] = {}
     values: dict[int, int] = {}
     rep_total: Optional[int] = 0
-    for v, res in solved:
-        iso[v] = ElementSubset.of(terminals.n, (v,)) | res.minimizer
+    for v in terminals.members:
+        single = ElementSubset.of(terminals.n, (v,))
+        res = blackbox(f, single, cells[v].complement())
+        iso[v] = single | res.minimizer
         values[v] = res.value
         if rep_total is not None:
             rep_total = None if res.rep_size is None else rep_total + res.rep_size

@@ -41,7 +41,6 @@ class SfmResult:
     minimizer: ElementSubset
     value: int
     oracle_queries_used: int
-    blackbox_calls_charged: int = 1
     rep_size: Optional[int] = None
 
 

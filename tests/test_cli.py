@@ -46,8 +46,17 @@ class TestMincut:
         assert report["side"] == [1, 2, 3]
         assert report["verification"] == "match"
         assert report["n"] == 6 and report["m"] == 7 and report["p"] == 14
-        assert report["flow_calls"] == report["blackbox_calls"] > 0
+        assert report["blackbox_calls"] > 0
         assert report["seed"] == 1
+
+    def test_json_keys(self, runner, tmp_path):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        result = runner.invoke(cli.main, ["mincut", path, "--seed", "1"])
+        assert result.exit_code == 0
+        assert list(json.loads(result.stdout)) == [
+            "min_cut_value", "side", "n", "m", "p", "blackbox_calls", "seed", "trials",
+            "reps", "k_schedule", "oracle_queries", "step2_rep_total", "verification",
+        ]
 
     def test_parse_error_exits_1_with_line(self, runner, tmp_path):
         path = write(tmp_path, "bad.hgr", "2 3\n1 2\n9 9\n")
@@ -127,6 +136,11 @@ class TestMincut:
     def test_overflowing_weight_exits_1_with_line(self, runner, tmp_path):
         path = write(tmp_path, "heavy.hgr", f"2 3 1\n{1 << 59} 1 2\n{1 << 59} 2 3\n")
         self.assert_parse_error(runner, path, "line 3: total edge weight")
+
+    def test_one_vertex_exits_1(self, runner, tmp_path):
+        for name, text in (("one.hgr", "0 1\n"), ("one.json", '{"n": 1, "edges": []}')):
+            path = write(tmp_path, name, text)
+            self.assert_parse_error(runner, path, f"{path}: needs at least 2 vertices")
 
 
 class TestIsolate:
@@ -215,6 +229,30 @@ class TestSfm:
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:x"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "cut:"]).exit_code == 2
 
+    @staticmethod
+    def assert_cut_demo_exits_1(runner, path, where):
+        result = runner.invoke(cli.main, ["sfm", "--demo", f"cut:{path}"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert f"{path}: {where}" in result.stderr
+
+    def test_one_vertex_cut_demo_exits_1(self, runner, tmp_path):
+        path = write(tmp_path, "one.hgr", "0 1\n")
+        self.assert_cut_demo_exits_1(runner, path, "needs at least 2 vertices")
+
+    def test_missing_cut_file_exits_1(self, runner, tmp_path):
+        self.assert_cut_demo_exits_1(runner, str(tmp_path / "absent.hgr"), "No such file or directory")
+
+    def test_directory_cut_file_exits_1(self, runner, tmp_path):
+        self.assert_cut_demo_exits_1(runner, str(tmp_path), "Is a directory")
+
+    def test_oversized_demo_rejected_before_running(self, runner, tmp_path):
+        path = write(tmp_path, "path27.hgr", "26 27\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 27)))
+        for demo in ("concave:27", f"cut:{path}"):
+            result = runner.invoke(cli.main, ["sfm", "--demo", demo])
+            assert result.exit_code == 2, demo
+            assert "capped at 24 free elements" in result.stderr
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, runner, tmp_path):
@@ -230,7 +268,7 @@ class TestDeterminism:
             ["sfm", "--demo", "concave:6", "--seed", "8"],
             ["sfm", "--demo", f"cut:{star}", "--seed", "8"],
             ["mincut", dumbbell, "--seed", "5", "--reps", "7"],
-            ["mincut", dumbbell, "--seed", "6", "--threads", "2"],
+            ["mincut", dumbbell, "--seed", "6"],
         ]
         for args in invocations:
             first = runner.invoke(cli.main, args)

@@ -57,11 +57,6 @@ class TestGroundSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             GroundSet(0)
-        with pytest.raises(ValueError):
-            GroundSet(2, labels=("a",))
-        g = GroundSet(3, labels=("a", "b", "c"))
-        assert g.label(1) == "b"
-        assert GroundSet(3).label(1) == "1"
 
     def test_subset_builders(self):
         g = GroundSet(4)

@@ -59,8 +59,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             DriverConfig(k_schedule=(0,))
         with pytest.raises(ValueError):
-            DriverConfig(min_terminals=1)
-        with pytest.raises(ValueError):
             DriverConfig(k_schedule=(9,)).resolved_schedule(4)
 
 

@@ -18,7 +18,6 @@ from isocut import (
     parse_hypergraph,
     parse_hypergraph_json,
     serialize_hypergraph,
-    sfm_cutfunction,
     st_mincut,
 )
 
@@ -238,8 +237,9 @@ class TestFlowBlackbox:
             forced_in = f.ground.subset(picks[:1])
             forced_out = f.ground.subset(picks[1:])
             a = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
-            b = sfm_cutfunction(h, forced_in, forced_out)
-            assert (a.value, a.minimizer) == (b.value, b.minimizer)
+            # the blackbox solves a contraction; st_mincut the full network
+            flow, side = st_mincut(h, forced_in, forced_out)
+            assert (a.value, a.minimizer) == (flow, side - forced_in)
             assert a.rep_size <= h.p
 
     def test_rejects_foreign_oracle(self):
@@ -271,7 +271,7 @@ class TestGlobalMincut:
         res = hypergraph_mincut(h, DriverConfig(rng_seed=0))
         assert res.value == 1
         assert set(res.side) == {0, 1, 2}
-        assert res.flow_calls == res.blackbox_calls > 0
+        assert res.blackbox_calls > 0
         assert res.step2_rep_bound_ok
 
     def test_single_hyperedge_all_cuts_equal(self):
@@ -284,7 +284,7 @@ class TestGlobalMincut:
         h = Hypergraph(5, [((0, 1), 3), ((3, 4), 2)])
         res = hypergraph_mincut(h, DriverConfig(rng_seed=0))
         assert res.value == 0
-        assert res.flow_calls == 0 and res.trials == 0
+        assert res.blackbox_calls == 0 and res.trials == 0
         assert 0 < len(res.side) < 5
         assert cut_value(h, res.side) == 0
 
@@ -299,9 +299,3 @@ class TestGlobalMincut:
     def test_tiny_ground_rejected(self):
         with pytest.raises(ValueError):
             hypergraph_mincut(Hypergraph(1, [((0,), 1)]), DriverConfig())
-
-    def test_threads_match_sequential(self):
-        h = random_hypergraph(philox(47), n_lo=7, n_hi=9, m_lo=8, m_hi=12)
-        a = hypergraph_mincut(h, DriverConfig(rng_seed=5), threads=1)
-        b = hypergraph_mincut(h, DriverConfig(rng_seed=5), threads=4)
-        assert (a.value, a.side, a.flow_calls) == (b.value, b.side, b.flow_calls)

@@ -186,13 +186,3 @@ class TestStructure:
                         f.evaluate(s_v) + f.evaluate(c)
                         >= f.evaluate(s_v | c) + f.evaluate(s_v & c)
                     )
-
-    def test_threads_do_not_change_results(self):
-        h = random_hypergraph(philox(89), n_lo=8, n_hi=10, m_lo=8, m_hi=14)
-        f = CutOracle(h)
-        ts = terminal_set(h.n, [0, 2, 4, 5])
-        seq = isolating_sets(f, ts, HypergraphFlowBlackbox(h), threads=1)
-        par = isolating_sets(f, ts, HypergraphFlowBlackbox(h), threads=4)
-        assert seq.isolating_sets == par.isolating_sets
-        assert seq.values == par.values
-        assert seq.cells == par.cells

@@ -8,12 +8,12 @@ from isocut import (
     ElementSubset,
     GroundSet,
     Hypergraph,
+    HypergraphFlowBlackbox,
     OracleContractError,
     SizeLimitError,
     SubmodularOracle,
     contract,
     sfm_bruteforce,
-    sfm_cutfunction,
 )
 
 from conftest import philox, random_hypergraph, raw_cut
@@ -53,7 +53,6 @@ class TestBruteforce:
         res = sfm_bruteforce(f)
         # 2^3 enumerated subsets plus the final verification evaluation
         assert res.oracle_queries_used == 9
-        assert res.blackbox_calls_charged == 1
 
     def test_non_submodular_oracle_detected(self):
         # minimum 0 at {0} and {1} but their intersection costs 5
@@ -108,10 +107,14 @@ class TestBruteforce:
                 sub = (sub - 1) & mz
 
 
+def flow_sfm(h, forced_in, forced_out):
+    return HypergraphFlowBlackbox(h)(CutOracle(h), forced_in, forced_out)
+
+
 class TestCutFunctionBlackbox:
     def test_single_hyperedge(self):
         h = Hypergraph(3, [((0, 1, 2), 5)])
-        res = sfm_cutfunction(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [2]))
+        res = flow_sfm(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [2]))
         # over A subseteq {1}: both sides cost 5; the minimal tie is empty
         assert res.value == 5
         assert len(res.minimizer) == 0
@@ -119,7 +122,7 @@ class TestCutFunctionBlackbox:
 
     def test_path(self):
         h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
-        res = sfm_cutfunction(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [2]))
+        res = flow_sfm(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [2]))
         assert res.value == 1
         assert len(res.minimizer) == 0
 
@@ -127,14 +130,14 @@ class TestCutFunctionBlackbox:
         h = Hypergraph(3, [((0, 1), 1)])
         s = ElementSubset.of(3, [0])
         with pytest.raises(ValueError):
-            sfm_cutfunction(h, s, s)
+            flow_sfm(h, s, s)
 
     def test_empty_side_rejected(self):
         h = Hypergraph(3, [((0, 1), 1)])
         with pytest.raises(ValueError):
-            sfm_cutfunction(h, ElementSubset.of(3, [0]), ElementSubset.empty(3))
+            flow_sfm(h, ElementSubset.of(3, [0]), ElementSubset.empty(3))
         with pytest.raises(ValueError):
-            sfm_cutfunction(h, ElementSubset.empty(3), ElementSubset.of(3, [0]))
+            flow_sfm(h, ElementSubset.empty(3), ElementSubset.of(3, [0]))
 
 
 class TestOracleEquivalence:
@@ -147,7 +150,7 @@ class TestOracleEquivalence:
             picks = rng.choice(h.n, size=2, replace=False)
             forced_in = f.ground.subset([int(picks[0])])
             forced_out = f.ground.subset([int(picks[1])])
-            flow_res = sfm_cutfunction(h, forced_in, forced_out)
+            flow_res = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
             brute_res = sfm_bruteforce(contract(f, forced_in, forced_out))
             assert flow_res.value == brute_res.value
             assert flow_res.minimizer == brute_res.minimizer
@@ -160,7 +163,7 @@ class TestOracleEquivalence:
             picks = [int(v) for v in rng.choice(h.n, size=4, replace=False)]
             forced_in = f.ground.subset(picks[:2])
             forced_out = f.ground.subset(picks[2:])
-            flow_res = sfm_cutfunction(h, forced_in, forced_out)
+            flow_res = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
             brute_res = sfm_bruteforce(contract(f, forced_in, forced_out))
             assert flow_res.value == brute_res.value
             assert flow_res.minimizer == brute_res.minimizer
@@ -170,4 +173,4 @@ def test_blackbox_callable_contract():
     h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
     f = CutOracle(h)
     res = BruteForceBlackbox()(f, f.ground.subset([0]), f.ground.subset([2]))
-    assert res.value == 1 and res.blackbox_calls_charged == 1
+    assert res.value == 1 and len(res.minimizer) == 0
