@@ -4,7 +4,9 @@
 Solves the same batch of random split-vertex hypergraph networks with both
 backends, each on its own containers (Python lists for the interpreter,
 int64 arrays for numba), and reports per-solve times and the speedup.
-Without numba only the Python kernel runs.  Run directly:
+Without numba only the Python kernel runs.  The last line is one JSON
+record: the package's active backend, the solve count, microseconds per
+solve for each kernel run, and the Python and numpy versions.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -12,12 +14,15 @@ Without numba only the Python kernel runs.  Run directly:
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import time
 
 import numpy as np
 
 from isocut import ElementSubset
 from isocut._kernels import (
+    BACKEND,
     INF,
     dinic_numba,
     dinic_python,
@@ -61,7 +66,17 @@ def run_backend(name, dinic, reachable, jobs):
     elapsed = time.perf_counter() - start
     per_solve = elapsed / len(jobs) * 1e6
     print(f"{name:>8}: {elapsed:8.3f} s total   {per_solve:9.1f} us/solve")
-    return flows, elapsed
+    return flows, elapsed, per_solve
+
+
+def report(solves: int, us_per_solve: dict) -> None:
+    print(json.dumps({
+        "backend": BACKEND,
+        "solves": solves,
+        "us_per_solve": us_per_solve,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }))
 
 
 def main() -> None:
@@ -69,6 +84,8 @@ def main() -> None:
     parser.add_argument("--solves", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.solves < 1:
+        parser.error("--solves must be >= 1")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     jobs = make_instances(args.solves, rng)
@@ -76,7 +93,8 @@ def main() -> None:
 
     if dinic_numba is None:
         print("numba unavailable; benchmarking the Python kernel only")
-        run_backend("python", dinic_python, reachable_python, jobs)
+        _, _, us_py = run_backend("python", dinic_python, reachable_python, jobs)
+        report(args.solves, {"python": us_py})
         return
 
     array_jobs = as_arrays(jobs)
@@ -85,10 +103,11 @@ def main() -> None:
     dinic_numba(warm[0], warm[1], warm[2], warm[3], warm[4].copy(), warm[5], warm[6])
     reachable_numba(warm[0], warm[1], warm[3], warm[4].copy(), warm[5], warm[6])
 
-    flows_numba, t_numba = run_backend("numba", dinic_numba, reachable_numba, array_jobs)
-    flows_py, t_py = run_backend("python", dinic_python, reachable_python, jobs)
+    flows_numba, t_numba, us_numba = run_backend("numba", dinic_numba, reachable_numba, array_jobs)
+    flows_py, t_py, us_py = run_backend("python", dinic_python, reachable_python, jobs)
     assert flows_numba == flows_py, "backends disagree"
     print(f"\nspeedup: {t_py / t_numba:.1f}x (identical flow values on all solves)")
+    report(args.solves, {"numba": us_numba, "python": us_py})
 
 
 if __name__ == "__main__":

@@ -34,18 +34,24 @@ from .isolating import TerminalSet, isolating_sets
 from .sfm import DEFAULT_BRUTEFORCE_CAP, BruteForceBlackbox, bruteforce_nontrivial_min
 
 VERIFY_CAP = 14
+# seeds feed numpy's SeedSequence and the driver's 64-bit rng_seed
+SEED_LIMIT = 1 << 64
 
 
 def _resolve_seed(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get("ISOCUT_SEED")
-    if env:
+    source = "--seed"
+    if seed is None:
+        env = os.environ.get("ISOCUT_SEED")
+        if not env:
+            return 0
+        source = "ISOCUT_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise click.UsageError(f"ISOCUT_SEED is not an integer: {env!r}")
-    return 0
+    if not 0 <= seed < SEED_LIMIT:
+        raise click.UsageError(f"{source} must be in 0..2**64-1, got {seed}")
+    return seed
 
 
 def _decode_utf8(data: bytes) -> str:

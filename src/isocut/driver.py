@@ -11,8 +11,9 @@ on the unlucky runs where it is not the minimum.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,6 +36,9 @@ __all__ = [
 # failure rate below 1/n for n >= 4
 REPETITION_CONSTANT = 12
 
+# collections.abc.Callable, not typing.Callable: typing caches subscripted
+# aliases process-wide, which would keep every re-imported copy of this
+# package's classes and modules alive
 TrialObserver = Callable[[TerminalSet, IsolatingResult], None]
 
 

@@ -98,6 +98,24 @@ class TestMincut:
         assert with_flag.stdout == with_env.stdout
         assert json.loads(with_env.stdout)["seed"] == 77
 
+    @pytest.mark.parametrize("args, env, source", [
+        (["--seed", "-1"], {}, "--seed"),
+        (["--seed", str(1 << 64)], {}, "--seed"),
+        (["--seed", "99999999999999999999999"], {}, "--seed"),
+        ([], {"ISOCUT_SEED": "-5"}, "ISOCUT_SEED"),
+    ])
+    def test_seed_out_of_range_is_usage_error(self, runner, tmp_path, args, env, source):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        result = runner.invoke(cli.main, ["mincut", path, *args], env=env)
+        assert result.exit_code == 2
+        assert f"{source} must be in 0..2**64-1" in result.stderr
+
+    def test_largest_seed_accepted(self, runner, tmp_path):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        result = runner.invoke(cli.main, ["mincut", path, "--seed", str((1 << 64) - 1)])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["seed"] == (1 << 64) - 1
+
     def test_json_input_mirror(self, runner, tmp_path):
         h = parse_hypergraph(DUMBBELL)
         obj = {"n": h.n, "edges": [{"verts": [v + 1 for v in vs], "w": w} for vs, w in h.edges]}
@@ -206,6 +224,11 @@ class TestGen:
         assert runner.invoke(cli.main, ["gen", "--n", "1", "--m", "3"]).exit_code == 2
         assert runner.invoke(cli.main, ["gen", "--n", "5", "--m", "0"]).exit_code == 2
 
+    def test_negative_seed_is_usage_error(self, runner):
+        result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed must be in 0..2**64-1" in result.stderr
+
 
 class TestSfm:
     def test_concave_demo(self, runner):
@@ -228,6 +251,11 @@ class TestSfm:
         assert runner.invoke(cli.main, ["sfm", "--demo", "weird:4"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:x"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "cut:"]).exit_code == 2
+
+    def test_negative_seed_is_usage_error(self, runner):
+        result = runner.invoke(cli.main, ["sfm", "--demo", "concave:6", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed must be in 0..2**64-1" in result.stderr
 
     @staticmethod
     def assert_cut_demo_exits_1(runner, path, where):

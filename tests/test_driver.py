@@ -1,6 +1,10 @@
 """Sampling, per-k trials, and the geometric-schedule sweep."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +218,26 @@ class TestSweep:
         res = find_nontrivial_minimizer(f, cfg, BruteForceBlackbox())
         assert [r.k for r in res.per_k_breakdown] == [2, 3]
         assert res.trials_run == 40
+
+
+REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "isocut" or m.startswith("isocut.")]:
+        del sys.modules[name]
+    return importlib.import_module("isocut")
+
+first = weakref.ref(fresh().ElementSubset)
+fresh()
+gc.collect()
+assert first() is None, "a re-import left the previous copy of the package alive"
+"""
+
+
+def test_reimport_frees_previous_copy():
+    # run apart: re-importing replaces the classes the other tests hold
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", REIMPORT], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 import pytest
 
+import isocut.hypergraph
 from isocut import (
     CutOracle,
     DriverConfig,
@@ -14,6 +15,7 @@ from isocut import (
     connected_components,
     contracted_instance,
     cut_value,
+    gen_planted,
     hypergraph_mincut,
     parse_hypergraph,
     parse_hypergraph_json,
@@ -250,6 +252,47 @@ class TestFlowBlackbox:
             HypergraphFlowBlackbox(h2)(f, f.ground.subset([0]), f.ground.subset([1]))
 
 
+@pytest.fixture
+def flow_solve_count(monkeypatch):
+    """Counts calls of the max-flow kernel the blackbox solves with."""
+    count = [0]
+    solve = isocut.hypergraph.solve_max_flow
+
+    def counted(*args):
+        count[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(isocut.hypergraph, "solve_max_flow", counted)
+    return count
+
+
+class TestFlowBlackboxMemo:
+    @pytest.mark.parametrize("forced", [([0], [3]), ([0, 5], [2, 3])], ids=["contracted", "full-network"])
+    def test_repeat_query_is_not_solved_again(self, flow_solve_count, forced):
+        h = gen_planted(8, 24, 3, 10, philox(5))[0]
+        f = CutOracle(h)
+        forced_in, forced_out = (f.ground.subset(part) for part in forced)
+        bb = HypergraphFlowBlackbox(h)
+        first = bb(f, forced_in, forced_out)
+        again = bb(f, forced_in, forced_out)
+        assert flow_solve_count[0] == bb.flow_solves == 1
+        fresh = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
+        assert again == first == fresh
+
+    def test_flow_solves_counts_kernel_solves(self, flow_solve_count):
+        h = gen_planted(12, 36, 3, 10, philox(7))[0]
+        res = hypergraph_mincut(h, DriverConfig(rng_seed=1))
+        assert res.flow_solves == flow_solve_count[0]
+        assert 0 < res.flow_solves < res.blackbox_calls
+
+    def test_no_answers_carry_across_runs(self):
+        h = gen_planted(12, 36, 3, 10, philox(8))[0]
+        a = hypergraph_mincut(h, DriverConfig(rng_seed=2))
+        b = hypergraph_mincut(h, DriverConfig(rng_seed=2))
+        assert a.flow_solves == b.flow_solves > 0
+        assert (a.value, a.side, a.blackbox_calls) == (b.value, b.side, b.blackbox_calls)
+
+
 class TestComponents:
     def test_isolated_vertices_are_components(self):
         h = Hypergraph(4, [((0, 1), 1)])
@@ -284,7 +327,7 @@ class TestGlobalMincut:
         h = Hypergraph(5, [((0, 1), 3), ((3, 4), 2)])
         res = hypergraph_mincut(h, DriverConfig(rng_seed=0))
         assert res.value == 0
-        assert res.blackbox_calls == 0 and res.trials == 0
+        assert res.blackbox_calls == 0 and res.trials == 0 and res.flow_solves == 0
         assert 0 < len(res.side) < 5
         assert cut_value(h, res.side) == 0
 
