@@ -65,6 +65,12 @@ class ElementSubset:
     Set operations require both operands to live in the same universe and
     raise ``ValueError`` otherwise.  Iteration yields members in ascending
     order.
+
+    The constructor and :meth:`of` range-check their input.  Results of
+    ``|``, ``&``, ``-`` and :meth:`complement`, and the queries that the
+    brute-force blackbox and :class:`ContractedOracle` build from the bits of
+    an existing subset, skip that check (see :func:`_unchecked_subset`):
+    a mask combined from in-range masks of one universe is in range too.
     """
 
     n: int
@@ -100,15 +106,15 @@ class ElementSubset:
 
     def __or__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
-        return ElementSubset(self.n, self.mask | other.mask)
+        return _unchecked_subset(self.n, self.mask | other.mask)
 
     def __and__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
-        return ElementSubset(self.n, self.mask & other.mask)
+        return _unchecked_subset(self.n, self.mask & other.mask)
 
     def __sub__(self, other: "ElementSubset") -> "ElementSubset":
         self._check(other)
-        return ElementSubset(self.n, self.mask & ~other.mask)
+        return _unchecked_subset(self.n, self.mask & ~other.mask)
 
     def __le__(self, other: "ElementSubset") -> bool:
         self._check(other)
@@ -134,10 +140,22 @@ class ElementSubset:
         return self.mask != 0
 
     def complement(self) -> "ElementSubset":
-        return ElementSubset(self.n, self.mask ^ ((1 << self.n) - 1))
+        return _unchecked_subset(self.n, self.mask ^ ((1 << self.n) - 1))
 
     def __repr__(self) -> str:
         return f"ElementSubset(n={self.n}, {{{', '.join(map(str, self))}}})"
+
+
+def _unchecked_subset(n: int, mask: int) -> ElementSubset:
+    """``ElementSubset(n, mask)`` without ``__post_init__``'s range check.
+
+    Only for masks known to lie in 0..2**n-1 because they were combined from
+    subsets of the same n-element universe that were checked already.
+    """
+    s = object.__new__(ElementSubset)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "mask", mask)
+    return s
 
 
 class SubmodularOracle:
@@ -208,9 +226,10 @@ class ContractedOracle:
         return self.base.query_count
 
     def evaluate(self, subset: ElementSubset) -> int:
-        if not subset <= self.free:
+        free = self.free
+        if subset.n != free.n or subset.mask & ~free.mask:
             raise ValueError("subset uses elements outside the contraction's ground set")
-        return self.base.evaluate(self.forced_in | subset)
+        return self.base.evaluate(_unchecked_subset(free.n, self.forced_in.mask | subset.mask))
 
 
 def contract(f, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedOracle:

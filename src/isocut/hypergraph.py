@@ -34,9 +34,13 @@ __all__ = [
     "HypergraphMincutResult",
     "hypergraph_mincut",
     "MAX_TOTAL_WEIGHT",
+    "MAX_VERTICES",
 ]
 
 MAX_TOTAL_WEIGHT = 1 << 60
+# Parsers reject larger vertex counts before anything is sized by n: the
+# pipeline builds O(n) lists and (1 << n) masks.
+MAX_VERTICES = 1 << 20
 
 
 class HypergraphParseError(ValueError):
@@ -106,8 +110,13 @@ def cut_value(h: Hypergraph, subset: ElementSubset) -> int:
     if subset.n != h.n:
         raise ValueError("subset does not live on this hypergraph's vertices")
     inside = subset.mask
-    outside = inside ^ ((1 << h.n) - 1)
-    return sum(w for em, w in h._masks if em & inside and em & outside)
+    total = 0
+    for em, w in h._masks:
+        # the edge crosses iff it meets the inside without lying in it
+        x = em & inside
+        if x and x != em:
+            total += w
+    return total
 
 
 class CutOracle(SubmodularOracle):
@@ -143,6 +152,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
         raise HypergraphParseError("header fields must be integers", header_line) from None
     if n < 1 or m < 0:
         raise HypergraphParseError(f"bad header counts m={m}, n={n}", header_line)
+    if n > MAX_VERTICES:
+        raise HypergraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", header_line)
     fmt = header[2] if len(header) == 3 else "0"
     if fmt not in ("0", "1"):
         raise HypergraphParseError(f"unsupported fmt {fmt!r} (only edge weights, fmt 1, are supported)", header_line)
@@ -198,11 +209,15 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise HypergraphParseError(f"invalid JSON: {e.msg}", e.lineno) from None
+    except RecursionError:
+        raise HypergraphParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise HypergraphParseError("JSON hypergraph needs fields 'n' and 'edges'")
     n = obj["n"]
     if not _is_json_int(n) or n < 1:
         raise HypergraphParseError(f"bad vertex count {n!r}")
+    if n > MAX_VERTICES:
+        raise HypergraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(obj["edges"], list):
         raise HypergraphParseError("'edges' must be a list")
     edges = []

@@ -16,6 +16,7 @@ from .core import (
     ElementSubset,
     OracleContractError,
     SizeLimitError,
+    _unchecked_subset,
     contract,
 )
 
@@ -52,27 +53,29 @@ def sfm_bruteforce(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> SfmResult:
     a submodular oracle that intersection is itself optimal (verified with a
     final evaluation) and is the minimal minimizer.
     """
-    elems = list(f.free)
-    m = len(elems)
+    bits = [1 << e for e in f.free]
+    m = len(bits)
     if m > max_ground:
         raise SizeLimitError(f"brute-force minimization capped at {max_ground} free elements, got {m}")
     n = f.ground.n
     before = f.query_count
     best: Optional[int] = None
-    meet: Optional[ElementSubset] = None
+    meet = 0
+    # the free bits are distinct, so each sum is the union of its combination
     for r in range(m + 1):
-        for combo in combinations(elems, r):
-            s = ElementSubset.of(n, combo)
-            v = f.evaluate(s)
+        for combo in combinations(bits, r):
+            mask = sum(combo)
+            v = f.evaluate(_unchecked_subset(n, mask))
             if best is None or v < best:
-                best, meet = v, s
+                best, meet = v, mask
             elif v == best:
-                meet = meet & s
-    if f.evaluate(meet) != best:
+                meet &= mask
+    minimizer = ElementSubset(n, meet)
+    if f.evaluate(minimizer) != best:
         raise OracleContractError(
             "intersection of optimal sets is not optimal; oracle is not submodular"
         )
-    return SfmResult(meet, best, f.query_count - before)
+    return SfmResult(minimizer, best, f.query_count - before)
 
 
 class BruteForceBlackbox:

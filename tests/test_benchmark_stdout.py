@@ -1,4 +1,4 @@
-"""The benchmark's stdout contract, on a short traced ``mincut`` run.
+"""The benchmark's stdout contract, on short traced runs of each workload.
 
 ``perfbench/run.py`` ends its stdout with one strict-JSON result line, right
 after one context line.  Anything the package writes to stdout, or a
@@ -9,6 +9,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,9 +23,15 @@ def strict_json(line: str):
     return json.loads(line, parse_constant=_reject_constant)
 
 
-def test_traced_mincut_run_ends_with_strict_json_result():
+# the layers the brute-force blackbox path runs through; a rewrite that stops
+# calling them by the names the tracer wraps reads as 0 here
+SFM_LAYERS = ("sfm.calls", "core.evaluate.calls", "core.contract.calls", "hypergraph.cut_value.calls")
+
+
+@pytest.mark.parametrize("workload", ["mincut", "sfm"])
+def test_traced_run_ends_with_strict_json_result(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mincut", "--seed", "3", "--seconds", "0.01",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.01",
          "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
@@ -39,3 +47,6 @@ def test_traced_mincut_run_ends_with_strict_json_result():
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
     assert len(declared) == 36
     assert list(result["metrics"]) == declared
+    if workload == "sfm":
+        for name in SFM_LAYERS:
+            assert result["metrics"][name]["value"] > 0, name

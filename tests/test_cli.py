@@ -160,6 +160,11 @@ class TestMincut:
             path = write(tmp_path, name, text)
             self.assert_parse_error(runner, path, f"{path}: needs at least 2 vertices")
 
+    def test_deeply_nested_json_exits_1(self, runner, tmp_path):
+        depth = 100_000
+        path = write(tmp_path, "deep.json", '{"n": 2, "edges": ' + "[" * depth + "]" * depth + "}")
+        self.assert_parse_error(runner, path, f"{path}: invalid JSON: nested too deeply")
+
 
 class TestIsolate:
     def test_star_terminals(self, runner, tmp_path):

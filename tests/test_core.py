@@ -36,6 +36,12 @@ class TestElementSubset:
         assert (a <= b) == (sa <= sb)
         assert len(a) == len(sa)
         assert (a == b) == (sa == sb)
+        # results built without the range check behave like checked subsets
+        for r in (a | b, a & b, a - b, a.complement()):
+            checked = ElementSubset(n, r.mask)
+            assert r == checked and hash(r) == hash(checked) and repr(r) == repr(checked)
+            with pytest.raises(AttributeError):
+                r.mask = 0
 
     def test_membership_and_iteration_order(self):
         s = ElementSubset.of(6, [4, 1, 1, 3])
@@ -128,6 +134,9 @@ class TestContract:
         assert set(g.free) == {1}
         with pytest.raises(ValueError):
             g.evaluate(f.ground.subset([2]))
+        # same mask as the free element, but from a 4-element universe
+        with pytest.raises(ValueError):
+            g.evaluate(ElementSubset.of(4, [1]))
 
 
 class TestOracle:

@@ -22,6 +22,7 @@ from isocut import (
     serialize_hypergraph,
     st_mincut,
 )
+from isocut.hypergraph import MAX_VERTICES
 
 from conftest import brute_min_nontrivial, brute_st_cut, philox, random_hypergraph, raw_cut
 
@@ -125,6 +126,16 @@ class TestParser:
             parse_hypergraph_json('{"n": 2, "edges": [{"verts": [3]}]}')
         with pytest.raises(HypergraphParseError, match="invalid JSON"):
             parse_hypergraph_json("{nope")
+
+    def test_vertex_count_limit(self):
+        # rejected from the header alone, before anything is sized by n
+        n = 2**40
+        with pytest.raises(HypergraphParseError, match=f"line 2: vertex count {n} exceeds the limit of {MAX_VERTICES}"):
+            parse_hypergraph(f"% huge\n1 {n}\n1 2\n")
+        with pytest.raises(HypergraphParseError, match=f"vertex count {n} exceeds the limit of {MAX_VERTICES}"):
+            parse_hypergraph_json(f'{{"n": {n}, "edges": [{{"verts": [1, 2]}}]}}')
+        assert parse_hypergraph(f"1 {MAX_VERTICES}\n1 {MAX_VERTICES}\n").n == MAX_VERTICES
+        assert parse_hypergraph_json(f'{{"n": {MAX_VERTICES}, "edges": []}}').n == MAX_VERTICES
 
 
 class TestStMincut:

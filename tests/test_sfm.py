@@ -1,5 +1,7 @@
 """Brute-force and flow-based SFM: both must return the minimal minimizer."""
 
+from itertools import chain, combinations
+
 import pytest
 
 from isocut import (
@@ -13,6 +15,7 @@ from isocut import (
     SizeLimitError,
     SubmodularOracle,
     contract,
+    cut_value,
     sfm_bruteforce,
 )
 
@@ -53,6 +56,25 @@ class TestBruteforce:
         res = sfm_bruteforce(f)
         # 2^3 enumerated subsets plus the final verification evaluation
         assert res.oracle_queries_used == 9
+
+    def test_query_sequence_on_contraction(self):
+        # every S of the free elements once, by cardinality then
+        # lexicographically, each glued to forced_in; then the minimizer once
+        rng = philox(41)
+        for _ in range(8):
+            h = random_hypergraph(rng, n_lo=3, n_hi=8)
+            picks = [int(v) for v in rng.permutation(h.n)]
+            for k in range(1, h.n):  # k = 1 leaves no free element: 2 queries
+                queries = []
+                f = SubmodularOracle(GroundSet(h.n), lambda s: queries.append(s) or cut_value(h, s))
+                forced_in = f.ground.subset(picks[:1])
+                res = sfm_bruteforce(contract(f, forced_in, f.ground.subset(picks[k:])))
+                free = sorted(picks[1:k])
+                subsets = sorted(chain.from_iterable(combinations(free, r) for r in range(len(free) + 1)),
+                                 key=lambda c: (len(c), c))
+                expected = [forced_in | f.ground.subset(c) for c in subsets] + [forced_in | res.minimizer]
+                assert queries == expected
+                assert len(queries) == res.oracle_queries_used == 2 ** len(free) + 1
 
     def test_non_submodular_oracle_detected(self):
         # minimum 0 at {0} and {1} but their intersection costs 5
