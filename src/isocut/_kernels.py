@@ -1,16 +1,8 @@
-"""Max-flow inner loops: numba-compiled by default, pure Python on demand.
+"""Max-flow inner loops: Dinic and residual reachability on Python lists.
 
-One implementation, written against flat integer sequences indexed one
-element at a time, so the same source runs under ``@njit`` on int64 arrays
-and under the plain interpreter on Python lists (indexing a numpy array
+The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are plain
+lists of ints, indexed one element at a time (indexing a numpy array
 element-wise from Python is several times slower than indexing a list).
-The kernels take their scratch buffers as arguments; the backend wrappers
-allocate them.  numba is an optional extra: without it, or with
-``ISOCUT_NUMBA=0``, the interpreted path runs.  Both paths perform the
-identical augmentation sequence and leave identical residuals.
-
-The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are Python
-lists on the interpreted backend and int64 arrays on the numba backend.
 
 Arc layout: arcs come in pairs, arc ``a`` and ``a ^ 1`` are mutual reverses.
 Adjacency is a forward-star: ``head[v]`` is the first arc out of ``v`` and
@@ -22,11 +14,10 @@ arcs keep INF, so they are genuinely uncuttable.
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
 INF = 1 << 62
+
+# read by the ``mincut`` stderr line and the benchmark's context record
+BACKEND = "python"
 
 __all__ = [
     "INF",
@@ -35,17 +26,19 @@ __all__ = [
     "residual_reachable",
     "build_forward_star",
     "extend_forward_star",
-    "dinic_python",
-    "dinic_numba",
-    "reachable_python",
-    "reachable_numba",
 ]
 
 
-def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt, level, cur, queue, path):
-    # level, cur and queue hold n_nodes entries and path n_nodes + 1; their
-    # contents on entry are never read
-    big = 1 << 62
+def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
+    """Run Dinic to completion; ``cap`` is mutated into the residual.
+
+    Raises if an augmenting path consists purely of INF arcs (unbounded flow).
+    """
+    inf = INF
+    level = [0] * n_nodes
+    cur = [0] * n_nodes
+    queue = [0] * n_nodes
+    path = [0] * (n_nodes + 1)
     total = 0
     while True:
         # BFS over residual arcs builds the level graph
@@ -66,7 +59,7 @@ def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt, level, cur, queue, path):
                     qt += 1
                 a = nxt[a]
         if level[dst] < 0:
-            break
+            return total
         for i in range(n_nodes):
             cur[i] = head[i]
         # blocking flow: iterative DFS with current-arc pointers
@@ -74,19 +67,19 @@ def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt, level, cur, queue, path):
         u = src
         while True:
             if u == dst:
-                f = big
+                f = inf
                 for d in range(depth):
                     a = path[d]
-                    if cap[a] != big and cap[a] < f:
+                    if cap[a] != inf and cap[a] < f:
                         f = cap[a]
-                if f == big:
-                    return -1  # augmenting path of infinite arcs: flow unbounded
+                if f == inf:
+                    raise ValueError("max flow is unbounded: infinite-capacity source-sink path")
                 for d in range(depth):
                     a = path[d]
-                    if cap[a] != big:
+                    if cap[a] != inf:
                         cap[a] -= f
                     r = a ^ 1
-                    if cap[r] != big:
+                    if cap[r] != inf:
                         cap[r] += f
                 total += f
                 retreat = depth
@@ -115,11 +108,12 @@ def _dinic_impl(n_nodes, src, dst, to, cap, head, nxt, level, cur, queue, path):
                 level[u] = -1  # dead end for this phase
                 depth -= 1
                 u = src if depth == 0 else to[path[depth - 1]]
-    return total
 
 
-def _reachable_impl(n_nodes, src, to, cap, head, nxt, seen, queue):
-    # seen must enter all false; queue holds n_nodes entries
+def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[bool]:
+    """Per-node flags: reachable from ``src`` over arcs with positive residual."""
+    seen = [False] * n_nodes
+    queue = [0] * n_nodes
     seen[src] = True
     queue[0] = src
     qh, qt = 0, 1
@@ -137,90 +131,13 @@ def _reachable_impl(n_nodes, src, to, cap, head, nxt, seen, queue):
     return seen
 
 
-def dinic_python(n_nodes, src, dst, to, cap, head, nxt):
-    return _dinic_impl(
-        n_nodes, src, dst, to, cap, head, nxt,
-        [0] * n_nodes, [0] * n_nodes, [0] * n_nodes, [0] * (n_nodes + 1),
-    )
-
-
-def reachable_python(n_nodes, src, to, cap, head, nxt):
-    return _reachable_impl(n_nodes, src, to, cap, head, nxt, [False] * n_nodes, [0] * n_nodes)
-
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    dinic_numba = None
-    reachable_numba = None
-    _HAVE_NUMBA = False
-else:
-    _dinic_jit = njit(cache=True, nogil=True)(_dinic_impl)
-    _reachable_jit = njit(cache=True, nogil=True)(_reachable_impl)
-
-    def dinic_numba(n_nodes, src, dst, to, cap, head, nxt):
-        return _dinic_jit(
-            n_nodes, src, dst, to, cap, head, nxt,
-            np.empty(n_nodes, np.int64), np.empty(n_nodes, np.int64),
-            np.empty(n_nodes, np.int64), np.empty(n_nodes + 1, np.int64),
-        )
-
-    def reachable_numba(n_nodes, src, to, cap, head, nxt):
-        return _reachable_jit(
-            n_nodes, src, to, cap, head, nxt, np.zeros(n_nodes, np.bool_), np.empty(n_nodes, np.int64),
-        )
-
-    _HAVE_NUMBA = True
-
-
-def _pick_backend() -> str:
-    flag = os.environ.get("ISOCUT_NUMBA", "").strip().lower()
-    if flag in ("0", "false", "off", "no"):
-        return "python"
-    return "numba" if _HAVE_NUMBA else "python"
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    _dinic = dinic_numba
-    _reachable = reachable_numba
-
-    def _join(base, tail):
-        # the one place forward-star data becomes int64 arrays
-        return np.concatenate((np.asarray(base, np.int64), np.asarray(tail, np.int64)))
-else:
-    _dinic = dinic_python
-    _reachable = reachable_python
-
-    def _join(base, tail):
-        return base + tail
-
-
-def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
-    """Run Dinic to completion; ``cap`` is mutated into the residual.
-
-    Raises if an augmenting path consists purely of INF arcs (unbounded flow).
-    """
-    flow = int(_dinic(n_nodes, src, dst, to, cap, head, nxt))
-    if flow < 0:
-        raise ValueError("max flow is unbounded: infinite-capacity source-sink path")
-    return flow
-
-
-def residual_reachable(n_nodes, src, to, cap, head, nxt):
-    """Per-node flags: reachable from ``src`` over arcs with positive residual."""
-    return _reachable(n_nodes, src, to, cap, head, nxt)
-
-
 def build_forward_star(n_nodes: int, arcs):
-    """Pack ``(u, v, capacity)`` triples into paired-arc forward-star containers."""
-    empty = _join([], [])
-    return extend_forward_star(empty, empty, _join([], [-1] * n_nodes), empty, arcs)
+    """Pack ``(u, v, capacity)`` triples into paired-arc forward-star lists."""
+    return extend_forward_star([], [], [-1] * n_nodes, [], arcs)
 
 
 def extend_forward_star(to, cap, head, nxt, extra_arcs):
-    """Copy a forward-star and append more arc pairs (base containers untouched)."""
+    """Copy a forward-star and append more arc pairs (base lists untouched)."""
     head = head.copy()
     fwd = len(to)
     to_tail, cap_tail, nxt_tail = [], [], []
@@ -232,4 +149,4 @@ def extend_forward_star(to, cap, head, nxt, extra_arcs):
         nxt_tail.append(head[v])
         head[v] = fwd + 1
         fwd += 2
-    return _join(to, to_tail), _join(cap, cap_tail), head, _join(nxt, nxt_tail)
+    return to + to_tail, cap + cap_tail, head, nxt + nxt_tail

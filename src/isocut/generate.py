@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ElementSubset
-from .hypergraph import Hypergraph, cut_value
+from .hypergraph import MAX_VERTICES, Hypergraph, cut_value
 
 __all__ = ["gen_uniform", "gen_planted"]
 
 
 def _check_params(n: int, m: int, max_rank: int, max_weight: int) -> None:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not 2 <= n <= MAX_VERTICES:
+        raise ValueError(f"need 2 <= n <= {MAX_VERTICES} (the parsers' limit), got {n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if not 2 <= max_rank <= n:

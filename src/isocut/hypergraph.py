@@ -41,6 +41,16 @@ MAX_TOTAL_WEIGHT = 1 << 60
 # Parsers reject larger vertex counts before anything is sized by n: the
 # pipeline builds O(n) lists and (1 << n) masks.
 MAX_VERTICES = 1 << 20
+# parse errors echo at most this much of an offending value's repr
+_ECHO_CHARS = 40
+
+
+def _echo(value) -> str:
+    """``repr(value)`` for an error message, cut to a short prefix if long."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} chars)"
 
 
 class HypergraphParseError(ValueError):
@@ -151,17 +161,17 @@ def parse_hypergraph(text: str) -> Hypergraph:
     except ValueError:
         raise HypergraphParseError("header fields must be integers", header_line) from None
     if n < 1 or m < 0:
-        raise HypergraphParseError(f"bad header counts m={m}, n={n}", header_line)
+        raise HypergraphParseError(f"bad header counts m={_echo(m)}, n={_echo(n)}", header_line)
     if n > MAX_VERTICES:
-        raise HypergraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}", header_line)
+        raise HypergraphParseError(f"vertex count {_echo(n)} exceeds the limit of {MAX_VERTICES}", header_line)
     fmt = header[2] if len(header) == 3 else "0"
     if fmt not in ("0", "1"):
-        raise HypergraphParseError(f"unsupported fmt {fmt!r} (only edge weights, fmt 1, are supported)", header_line)
+        raise HypergraphParseError(f"unsupported fmt {_echo(fmt)} (only edge weights, fmt 1, are supported)", header_line)
     weighted = fmt == "1"
 
     body = data[1:]
     if len(body) < m:
-        raise HypergraphParseError(f"expected {m} hyperedge lines, found {len(body)} before end of file")
+        raise HypergraphParseError(f"expected {_echo(m)} hyperedge lines, found {len(body)} before end of file")
     if len(body) > m:
         raise HypergraphParseError(f"expected {m} hyperedge lines, found extra data", body[m][0])
 
@@ -179,7 +189,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         else:
             w, verts = 1, nums
         if w < 1:
-            raise HypergraphParseError(f"non-positive weight {w}", lineno)
+            raise HypergraphParseError(f"non-positive weight {_echo(w)}", lineno)
         total += w
         if total >= MAX_TOTAL_WEIGHT:
             raise HypergraphParseError("total edge weight would overflow 64-bit cut accounting", lineno)
@@ -187,7 +197,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             raise HypergraphParseError("hyperedge with no vertices", lineno)
         for v in verts:
             if not 1 <= v <= n:
-                raise HypergraphParseError(f"vertex {v} outside 1..{n}", lineno)
+                raise HypergraphParseError(f"vertex {_echo(v)} outside 1..{n}", lineno)
         edges.append((tuple(v - 1 for v in verts), w))
     return Hypergraph(n, edges)
 
@@ -211,13 +221,16 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
         raise HypergraphParseError(f"invalid JSON: {e.msg}", e.lineno) from None
     except RecursionError:
         raise HypergraphParseError("invalid JSON: nested too deeply") from None
+    except ValueError:
+        # int() refuses literals past sys.get_int_max_str_digits()
+        raise HypergraphParseError("invalid JSON: integer literal too long") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise HypergraphParseError("JSON hypergraph needs fields 'n' and 'edges'")
     n = obj["n"]
     if not _is_json_int(n) or n < 1:
-        raise HypergraphParseError(f"bad vertex count {n!r}")
+        raise HypergraphParseError(f"bad vertex count {_echo(n)}")
     if n > MAX_VERTICES:
-        raise HypergraphParseError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        raise HypergraphParseError(f"vertex count {_echo(n)} exceeds the limit of {MAX_VERTICES}")
     if not isinstance(obj["edges"], list):
         raise HypergraphParseError("'edges' must be a list")
     edges = []
@@ -227,16 +240,16 @@ def parse_hypergraph_json(text: str) -> Hypergraph:
             raise HypergraphParseError(f"edge {i} needs a 'verts' field")
         verts = e["verts"]
         if not isinstance(verts, list) or not verts:
-            raise HypergraphParseError(f"edge {i} needs a non-empty 'verts' list, got {verts!r}")
+            raise HypergraphParseError(f"edge {i} needs a non-empty 'verts' list, got {_echo(verts)}")
         w = e.get("w", 1)
         if not _is_json_int(w) or w < 1:
-            raise HypergraphParseError(f"edge {i} has bad weight {w!r}")
+            raise HypergraphParseError(f"edge {i} has bad weight {_echo(w)}")
         total += w
         if total >= MAX_TOTAL_WEIGHT:
             raise HypergraphParseError(f"edge {i}: total edge weight would overflow 64-bit cut accounting")
         for v in verts:
             if not _is_json_int(v) or not 1 <= v <= n:
-                raise HypergraphParseError(f"edge {i} has vertex {v!r} outside 1..{n}")
+                raise HypergraphParseError(f"edge {i} has vertex {_echo(v)} outside 1..{n}")
         edges.append((tuple(v - 1 for v in verts), w))
     return Hypergraph(n, edges)
 

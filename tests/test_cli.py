@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from isocut import cli
-from isocut.hypergraph import parse_hypergraph
+from isocut.hypergraph import MAX_VERTICES, parse_hypergraph
 
 DUMBBELL = """7 6 1
 1 1 2
@@ -23,6 +23,25 @@ STAR = """3 4 1
 1 1 3
 1 1 4
 """
+
+
+# one long value in each place a parse error echoes one: 100,000 characters,
+# or 4,000 digits where the value must parse as an int (int() takes at most
+# 4,300)
+LONG_VALUE_CASES = [
+    ("n.json", '{"n": "%s", "edges": []}' % ("x" * 100_000), "bad vertex count 'xxx"),
+    ("n-digits.json", '{"n": 1%s, "edges": []}' % ("0" * 100_000), "invalid JSON: integer literal too long"),
+    ("verts.json", '{"n": 3, "edges": [{"verts": "%s"}]}' % ("x" * 100_000), "edge 0 needs a non-empty"),
+    ("weight.json", '{"n": 3, "edges": [{"verts": [1, 2], "w": "%s"}]}' % ("x" * 100_000), "edge 0 has bad weight"),
+    ("vertex.json", '{"n": 3, "edges": [{"verts": [1, "%s"]}]}' % ("x" * 100_000), "edge 0 has vertex"),
+    ("fmt.hgr", "1 3 %s\n1 2\n" % ("x" * 100_000), "line 1: unsupported fmt 'xxx"),
+    ("n-limit.json", '{"n": %s, "edges": []}' % ("9" * 4000), "vertex count 999"),
+    ("counts.hgr", "-%s 3\n" % ("9" * 4000), "line 1: bad header counts m=-999"),
+    ("n-limit.hgr", "0 %s\n" % ("9" * 4000), "line 1: vertex count 999"),
+    ("m.hgr", "%s 3\n1 2\n" % ("9" * 4000), "expected 999"),
+    ("weight.hgr", "1 3 1\n-%s 1 2\n" % ("9" * 4000), "line 2: non-positive weight -999"),
+    ("vertex.hgr", "1 3\n1 %s\n" % ("9" * 4000), "line 2: vertex 999"),
+]
 
 
 @pytest.fixture
@@ -130,6 +149,7 @@ class TestMincut:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
         assert where in result.stderr
+        return result
 
     def test_json_edges_not_a_list_exits_1(self, runner, tmp_path):
         path = write(tmp_path, "bad.json", '{"n": 3, "edges": 5}')
@@ -145,6 +165,12 @@ class TestMincut:
         self.assert_parse_error(runner, path, "edge 0 has vertex True")
         path = write(tmp_path, "weight.json", '{"n": 3, "edges": [{"verts": [1, 2], "w": true}]}')
         self.assert_parse_error(runner, path, "edge 0 has bad weight True")
+
+    @pytest.mark.parametrize("name, text, where", LONG_VALUE_CASES, ids=[c[0] for c in LONG_VALUE_CASES])
+    def test_long_offending_value_is_cut_short(self, runner, tmp_path, name, text, where):
+        path = write(tmp_path, name, text)
+        message = self.assert_parse_error(runner, path, where).stderr.removeprefix(f"{path}: ")
+        assert len(message) < 200
 
     def test_non_utf8_file_exits_1_with_line(self, runner, tmp_path):
         path = tmp_path / "latin1.hgr"
@@ -228,6 +254,11 @@ class TestGen:
         assert runner.invoke(cli.main, ["gen", "--n", "5", "--m", "3", "--max-rank", "1"]).exit_code == 2
         assert runner.invoke(cli.main, ["gen", "--n", "1", "--m", "3"]).exit_code == 2
         assert runner.invoke(cli.main, ["gen", "--n", "5", "--m", "0"]).exit_code == 2
+        # past the parsers' vertex limit, so `mincut` could not read the file
+        assert runner.invoke(cli.main, ["gen", "--n", str(MAX_VERTICES + 1), "--m", "3"]).exit_code == 2
+        result = runner.invoke(cli.main, ["gen", "--model", "planted", "--n", "2000000", "--m", "3"])
+        assert result.exit_code == 2
+        assert f"n <= {MAX_VERTICES}" in result.stderr
 
     def test_negative_seed_is_usage_error(self, runner):
         result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5", "--seed", "-1"])

@@ -16,6 +16,7 @@ from isocut import (
     contracted_instance,
     cut_value,
     gen_planted,
+    gen_uniform,
     hypergraph_mincut,
     parse_hypergraph,
     parse_hypergraph_json,
@@ -240,6 +241,12 @@ class TestContractedInstance:
             assert res.stats.step2_rep_total <= 4 * (h.p + size)
 
 
+@pytest.mark.parametrize("gen", [gen_uniform, gen_planted])
+def test_generators_stop_at_the_parsers_vertex_limit(gen):
+    with pytest.raises(ValueError, match=f"n <= {MAX_VERTICES}"):
+        gen(MAX_VERTICES + 1, 6, 3, 10, philox(1))
+
+
 class TestFlowBlackbox:
     def test_matches_generic_cut_sfm(self):
         rng = philox(41)
@@ -254,6 +261,28 @@ class TestFlowBlackbox:
             flow, side = st_mincut(h, forced_in, forced_out)
             assert (a.value, a.minimizer) == (flow, side - forced_in)
             assert a.rep_size <= h.p
+
+    def test_cached_full_network_serves_distinct_queries(self):
+        # multi-vertex forced_in goes through the one network the blackbox
+        # builds and keeps; each solve must extend it without changing it
+        h = gen_planted(10, 30, 3, 10, philox(43))[0]
+        f = CutOracle(h)
+        bb = HypergraphFlowBlackbox(h)
+        rng = philox(44)
+        seen = set()
+        while len(seen) < 20:
+            k_in = int(rng.integers(2, h.n - 1))
+            k_out = int(rng.integers(1, h.n - k_in + 1))
+            picks = [int(x) for x in rng.permutation(h.n)[: k_in + k_out]]
+            forced_in, forced_out = f.ground.subset(picks[:k_in]), f.ground.subset(picks[k_in:])
+            if (forced_in, forced_out) in seen:
+                continue
+            seen.add((forced_in, forced_out))
+            res = bb(f, forced_in, forced_out)
+            flow, side = st_mincut(h, forced_in, forced_out)
+            assert (res.value, res.minimizer) == (flow, side - forced_in)
+        assert bb.flow_solves == 20
+        assert bb._net._base == isocut.hypergraph._SplitNetwork(h)._base
 
     def test_rejects_foreign_oracle(self):
         h1 = Hypergraph(3, [((0, 1), 1)])

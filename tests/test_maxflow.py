@@ -1,25 +1,11 @@
-"""Flow solver against exhaustive cut enumeration, on both kernel backends."""
+"""Flow solver against exhaustive cut enumeration."""
 
-import numpy as np
 import pytest
 
 from isocut import INF, FlowNetwork, max_flow
-from isocut._kernels import (
-    _dinic_impl,
-    _reachable_impl,
-    build_forward_star,
-    dinic_numba,
-    dinic_python,
-    extend_forward_star,
-    reachable_numba,
-    reachable_python,
-)
+from isocut._kernels import build_forward_star, extend_forward_star, solve_max_flow
 
 from conftest import philox
-
-BACKENDS = [("python", dinic_python, reachable_python)]
-if dinic_numba is not None:
-    BACKENDS.append(("numba", dinic_numba, reachable_numba))
 
 
 def enumerate_min_cut(net: FlowNetwork):
@@ -138,12 +124,12 @@ class TestAgainstEnumeration:
             net = random_network(rng, max_nodes=7)
             to, cap, head, nxt = build_forward_star(net.node_count, net.arcs)
             orig = cap.copy()
-            flow = dinic_python(net.node_count, net.source, net.sink, to, cap, head, nxt)
+            flow = solve_max_flow(net.node_count, net.source, net.sink, to, cap, head, nxt)
             assert flow >= 0
             # per-arc flow = cap decrease on the forward slot
             net_out = [0] * net.node_count
             for i, (u, v, c) in enumerate(net.arcs):
-                used = int(orig[2 * i] - cap[2 * i])
+                used = orig[2 * i] - cap[2 * i]
                 assert 0 <= used <= c
                 net_out[u] += used
                 net_out[v] -= used
@@ -152,38 +138,6 @@ class TestAgainstEnumeration:
             for node in range(net.node_count):
                 if node not in (net.source, net.sink):
                     assert net_out[node] == 0
-
-
-class TestBackendsAgree:
-    @pytest.mark.skipif(dinic_numba is None, reason="numba unavailable")
-    def test_identical_flow_and_residuals(self):
-        rng = philox(77)
-        for _ in range(40):
-            net = random_network(rng, max_nodes=10)
-            results = []
-            for _, dinic, reach in BACKENDS:
-                to, cap, head, nxt = build_forward_star(net.node_count, net.arcs)
-                flow = int(dinic(net.node_count, net.source, net.sink, to, cap, head, nxt))
-                seen = reach(net.node_count, net.source, to, cap, head, nxt)
-                results.append((flow, list(cap), list(seen)))
-            assert results[0] == results[1]
-
-    def test_shared_source_on_arrays_and_lists(self):
-        """The one kernel source gives the same flow, residuals and reach set
-        on numba's int64 arrays as on the interpreter's lists."""
-        rng = philox(78)
-        for _ in range(40):
-            net = random_network(rng, max_nodes=10)
-            n = net.node_count
-            results = []
-            for seq in (lambda xs: np.array(xs, np.int64), list):
-                to, cap, head, nxt = (seq(list(x)) for x in build_forward_star(n, net.arcs))
-                flow = _dinic_impl(n, net.source, net.sink, to, cap, head, nxt,
-                                   seq([0] * n), seq([0] * n), seq([0] * n), seq([0] * (n + 1)))
-                seen = [False] * n if seq is list else np.zeros(n, np.bool_)
-                _reachable_impl(n, net.source, to, cap, head, nxt, seen, seq([0] * n))
-                results.append((int(flow), [int(c) for c in cap], [bool(b) for b in seen]))
-            assert results[0] == results[1]
 
 
 def test_extend_forward_star_leaves_base_untouched():
