@@ -2,10 +2,11 @@
 """Benchmark the max-flow kernel: microseconds per solve.
 
 Solves a seeded batch of random split-vertex hypergraph networks with
-``solve_max_flow`` followed by ``residual_reachable``, the way the hypergraph
-blackbox does; the networks are built outside the timed region.  The last
-line is one JSON record: the package's backend, the solve count,
-microseconds per solve, and the Python and numpy versions.  Run directly:
+``solve_max_flow`` followed by ``residual_reachable`` from local vertex 0 to
+1, the way the hypergraph blackbox does; each network is built from a
+``contracted_instance`` outside the timed region.  The last line is one JSON
+record: the package's backend, the solve count, microseconds per solve, and
+the Python and numpy versions.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -20,9 +21,9 @@ import time
 import numpy as np
 
 from isocut import ElementSubset
-from isocut._kernels import BACKEND, INF, extend_forward_star, residual_reachable, solve_max_flow
+from isocut._kernels import BACKEND, residual_reachable, solve_max_flow
 from isocut.generate import gen_uniform
-from isocut.hypergraph import _SplitNetwork
+from isocut.hypergraph import _split_network, contracted_instance
 
 
 def make_instances(count: int, rng: np.random.Generator):
@@ -31,14 +32,11 @@ def make_instances(count: int, rng: np.random.Generator):
         n = int(rng.integers(8, 30))
         m = int(rng.integers(10, 40))
         h = gen_uniform(n, m, min(5, n), 10, rng)
-        net = _SplitNetwork(h)
         picks = rng.choice(n, size=2, replace=False)
         sources = ElementSubset.of(n, [int(picks[0])])
         sinks = ElementSubset.of(n, [int(picks[1])])
-        extra = [(net.super_source, v, INF) for v in sources]
-        extra += [(v, net.super_sink, INF) for v in sinks]
-        star = extend_forward_star(*net._base, extra)
-        jobs.append((net.node_count, net.super_source, net.super_sink, *star))
+        node_count, *star = _split_network(contracted_instance(h, sources, sinks))
+        jobs.append((node_count, 0, 1, *star))
     return jobs
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ElementSubset
-from .hypergraph import MAX_VERTICES, Hypergraph, cut_value
+from .hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, Hypergraph, cut_value
 
 __all__ = ["gen_uniform", "gen_planted"]
 
@@ -17,8 +17,8 @@ def _check_params(n: int, m: int, max_rank: int, max_weight: int) -> None:
         raise ValueError(f"need m >= 1, got {m}")
     if not 2 <= max_rank <= n:
         raise ValueError(f"need 2 <= max_rank <= n, got max_rank={max_rank}, n={n}")
-    if max_weight < 1:
-        raise ValueError(f"need max_weight >= 1, got {max_weight}")
+    if not 1 <= max_weight < MAX_TOTAL_WEIGHT:
+        raise ValueError(f"need 1 <= max_weight < {MAX_TOTAL_WEIGHT} (the total-weight limit), got {max_weight}")
 
 
 def gen_uniform(n: int, m: int, max_rank: int, max_weight: int, rng: np.random.Generator) -> Hypergraph:

@@ -4,7 +4,8 @@ The s-t machinery uses the split-vertex reduction: each hyperedge becomes an
 internal arc of its weight, wired to its vertices with uncuttable arcs, so a
 directed s-t min cut of the network equals the hypergraph s-t cut.  A rank-r
 hyperedge contributes O(r) to the network, keeping the reduction linear in
-the representation size p.
+the representation size p.  Every s-t query first merges its source side and
+its sink side into one vertex each, and solves on that contraction.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+# extend_forward_star is unused here, but perfbench/tracing.py wraps it by name
 from ._kernels import INF, build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
-from .core import ElementSubset, GroundSet, SubmodularOracle
+from .core import ElementSubset, GroundSet, SubmodularOracle, _unchecked_subset
 from .driver import DriverConfig, MinimizerResult, canonical_side, find_nontrivial_minimizer
 from .sfm import SfmResult
 
@@ -259,43 +261,6 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _SplitNetwork:
-    """Split-vertex flow network of a hypergraph, with two reserved terminals.
-
-    Nodes: 0..n-1 original vertices, then an in/out pair per hyperedge, then
-    the merged super-source and super-sink.  Terminal wiring is appended per
-    solve so one built network serves many (sources, sinks) pairs.
-    """
-
-    def __init__(self, h: Hypergraph):
-        self.h = h
-        n, m = h.n, h.m
-        self.node_count = n + 2 * m + 2
-        self.super_source = n + 2 * m
-        self.super_sink = n + 2 * m + 1
-        arcs = []
-        for j, (verts, w) in enumerate(h.edges):
-            e_in = n + 2 * j
-            e_out = e_in + 1
-            arcs.append((e_in, e_out, w))
-            for v in verts:
-                arcs.append((v, e_in, INF))
-                arcs.append((e_out, v, INF))
-        self._base = build_forward_star(self.node_count, arcs)
-
-    def solve(self, sources: ElementSubset, sinks: ElementSubset) -> tuple[int, ElementSubset]:
-        extra = [(self.super_source, v, INF) for v in sources]
-        extra += [(v, self.super_sink, INF) for v in sinks]
-        to, cap, head, nxt = extend_forward_star(*self._base, extra)
-        flow = solve_max_flow(self.node_count, self.super_source, self.super_sink, to, cap, head, nxt)
-        reach = residual_reachable(self.node_count, self.super_source, to, cap, head, nxt)
-        mask = 0
-        for v in range(self.h.n):
-            if reach[v]:
-                mask |= 1 << v
-        return flow, ElementSubset(self.h.n, mask)
-
-
 def _check_terminal_sides(h: Hypergraph, sources: ElementSubset, sinks: ElementSubset) -> None:
     if sources.n != h.n or sinks.n != h.n:
         raise ValueError("terminal sets do not live on this hypergraph's vertices")
@@ -308,78 +273,99 @@ def _check_terminal_sides(h: Hypergraph, sources: ElementSubset, sinks: ElementS
 def st_mincut(h: Hypergraph, sources: ElementSubset, sinks: ElementSubset) -> tuple[int, ElementSubset]:
     """Exact s-t min cut; returns (value, minimal source side).
 
-    The side is the residual-reachable set restricted to original vertices,
-    i.e. the unique inclusion-least minimizer among all optimal source sides.
+    The side is the unique inclusion-least minimizer among all optimal
+    source sides.
     """
-    _check_terminal_sides(h, sources, sinks)
-    return _SplitNetwork(h).solve(sources, sinks)
+    res = _flow_cut(h, sources, sinks)
+    return res.value, sources | res.minimizer
 
 
 @dataclass(frozen=True)
 class ContractedInstance:
-    """A cell's private min-cut instance: cell vertices plus one sink vertex.
+    """An s-t min-cut instance with each forced side merged into one vertex.
 
-    ``vertex_ids`` maps local ids back to original ones; the sink (local id
-    ``sink``) is the image of everything outside the cell.
+    Local vertex 0 is the image of ``forced_in`` and 1 that of
+    ``forced_out``; local vertex ``i + 2`` is the free vertex
+    ``vertex_ids[i]``.  ``edges`` holds sorted local images with their
+    merged weights, and ``p`` is the sum of their sizes.
     """
 
-    hypergraph: Hypergraph
-    source: int
-    sink: int
+    n: int
+    edges: tuple[tuple[tuple[int, ...], int], ...]
     vertex_ids: tuple[int, ...]
+    p: int
 
 
-def contracted_instance(h: Hypergraph, v: int, cell: ElementSubset) -> ContractedInstance:
-    """Contract everything outside ``cell`` into a single sink vertex.
+def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
+    """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
 
-    Edges map to their cell part plus the sink when they leave the cell;
-    images with fewer than two vertices disappear, and duplicate images merge
-    by weight.  Cuts (A, rest) with v in A inside the cell keep their value.
+    Images with fewer than two vertices disappear, and duplicate images merge
+    by weight in first-seen order.  Every cut (A, rest) with forced_in inside
+    A and forced_out outside it keeps its value.
     """
-    if cell.n != h.n:
-        raise ValueError("cell does not live on this hypergraph's vertices")
-    if v not in cell:
-        raise ValueError(f"vertex {v} is not in its own cell")
-    if len(cell) >= h.n:
-        raise ValueError("cell must leave at least one vertex to contract into the sink")
-    keep = tuple([*cell])  # from a list: see Hypergraph.__init__
-    local = {orig: i for i, orig in enumerate(keep)}
-    sink = len(keep)
-    edges = []
+    _check_terminal_sides(h, forced_in, forced_out)
+    keep = tuple([*(forced_in | forced_out).complement()])  # from a list: see Hypergraph.__init__
+    local = [1] * h.n
+    for u in forced_in:
+        local[u] = 0
+    for i, u in enumerate(keep, 2):
+        local[u] = i
+    merged: dict[tuple[int, ...], int] = {}
     for verts, w in h.edges:
-        image = set()
-        leaves = False
-        for u in verts:
-            if u in cell:
-                image.add(local[u])
-            else:
-                leaves = True
-        if leaves:
-            image.add(sink)
+        image = {local[u] for u in verts}
         if len(image) >= 2:
-            edges.append((tuple(sorted(image)), w))
+            key = tuple(sorted(image))
+            merged[key] = merged.get(key, 0) + w
     return ContractedInstance(
-        hypergraph=Hypergraph(sink + 1, edges),
-        source=local[v],
-        sink=sink,
+        n=len(keep) + 2,
+        edges=tuple(merged.items()),
         vertex_ids=keep,
+        p=sum(len(vs) for vs in merged),
     )
+
+
+def _split_network(ci: ContractedInstance):
+    """Split-vertex network of ``ci``: ``(node_count, to, cap, head, nxt)``.
+
+    Nodes 0..n-1 are the local vertices, then an in/out pair per edge.
+    """
+    n = ci.n
+    arcs = []
+    e_in = n
+    for verts, w in ci.edges:
+        arcs.append((e_in, e_in + 1, w))
+        for v in verts:
+            arcs.append((v, e_in, INF))
+            arcs.append((e_in + 1, v, INF))
+        e_in += 2
+    return (e_in, *build_forward_star(e_in, arcs))
+
+
+def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
+    """Minimal minimizer over the free vertices, by max flow from 0 to 1."""
+    ci = contracted_instance(h, forced_in, forced_out)
+    node_count, to, cap, head, nxt = _split_network(ci)
+    flow = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
+    reach = residual_reachable(node_count, 0, to, cap, head, nxt)
+    mask = 0
+    for i, u in enumerate(ci.vertex_ids, 2):
+        if reach[i]:
+            mask |= 1 << u
+    return SfmResult(_unchecked_subset(h.n, mask), flow, oracle_queries_used=0, rep_size=ci.p)
 
 
 class HypergraphFlowBlackbox:
     """SFM blackbox for cut oracles, answered by exact max flow.
 
-    Single-element ``forced_in`` calls solve on the contraction of everything
-    forced out (this is the per-cell round, whose instances stay small);
-    multi-element calls solve on the full split network, built once and
-    reused.  Each distinct ``(forced_in, forced_out)`` is solved once per
-    instance: the minimal minimizer is unique, so a repeated call is answered
-    from memory (and still counts as a blackbox call to its caller).
+    Each call contracts ``forced_in`` and ``forced_out`` to one vertex each
+    and solves the s-t min cut of that contraction.  Each distinct
+    ``(forced_in, forced_out)`` is solved once per instance: the minimal
+    minimizer is unique, so a repeated call is answered from memory (and
+    still counts as a blackbox call to its caller).
     """
 
     def __init__(self, h: Hypergraph):
         self.h = h
-        self._net: Optional[_SplitNetwork] = None
         self._answers: dict[tuple[int, int], SfmResult] = {}
 
     @property
@@ -394,27 +380,8 @@ class HypergraphFlowBlackbox:
         key = (forced_in.mask, forced_out.mask)
         res = self._answers.get(key)
         if res is None:
-            res = self._answers[key] = self._solve(forced_in, forced_out)
+            res = self._answers[key] = _flow_cut(self.h, forced_in, forced_out)
         return res
-
-    def _solve(self, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
-        if len(forced_in) == 1:
-            (v,) = forced_in
-            ci = contracted_instance(self.h, v, forced_out.complement())
-            g = ci.hypergraph
-            flow, side_local = _SplitNetwork(g).solve(
-                ElementSubset.of(g.n, (ci.source,)),
-                ElementSubset.of(g.n, (ci.sink,)),
-            )
-            members = [ci.vertex_ids[u] for u in side_local if u != ci.source]
-            return SfmResult(
-                ElementSubset.of(self.h.n, members), flow,
-                oracle_queries_used=0, rep_size=g.p,
-            )
-        if self._net is None:
-            self._net = _SplitNetwork(self.h)
-        flow, side = self._net.solve(forced_in, forced_out)
-        return SfmResult(side - forced_in, flow, oracle_queries_used=0, rep_size=self.h.p)
 
 
 def connected_components(h: Hypergraph) -> list[ElementSubset]:

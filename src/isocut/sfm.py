@@ -45,7 +45,7 @@ class SfmResult:
     rep_size: Optional[int] = None
 
 
-def sfm_bruteforce(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> SfmResult:
+def sfm_bruteforce(f) -> SfmResult:
     """Exhaustive minimization over every subset of the free elements.
 
     Subsets are visited in increasing cardinality, lexicographic within each
@@ -55,8 +55,8 @@ def sfm_bruteforce(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> SfmResult:
     """
     bits = [1 << e for e in f.free]
     m = len(bits)
-    if m > max_ground:
-        raise SizeLimitError(f"brute-force minimization capped at {max_ground} free elements, got {m}")
+    if m > DEFAULT_BRUTEFORCE_CAP:
+        raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got {m}")
     n = f.ground.n
     before = f.query_count
     best: Optional[int] = None
@@ -81,14 +81,11 @@ def sfm_bruteforce(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> SfmResult:
 class BruteForceBlackbox:
     """SFM blackbox: exhaustive minimal-minimizer search on the contraction."""
 
-    def __init__(self, max_ground: int = DEFAULT_BRUTEFORCE_CAP):
-        self.max_ground = max_ground
-
     def __call__(self, f, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
-        return sfm_bruteforce(contract(f, forced_in, forced_out), self.max_ground)
+        return sfm_bruteforce(contract(f, forced_in, forced_out))
 
 
-def bruteforce_nontrivial_min(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> tuple[ElementSubset, int]:
+def bruteforce_nontrivial_min(f) -> tuple[ElementSubset, int]:
     """Exhaustive minimum of f over all S with 0 < |S| < n.
 
     Returns the canonical optimal side: smallest value, then smallest size
@@ -97,8 +94,8 @@ def bruteforce_nontrivial_min(f, max_ground: int = DEFAULT_BRUTEFORCE_CAP) -> tu
     n = f.ground.n
     if n < 2:
         raise ValueError("nontrivial minimization needs n >= 2")
-    if n > max_ground:
-        raise SizeLimitError(f"brute-force minimization capped at {max_ground} elements, got {n}")
+    if n > DEFAULT_BRUTEFORCE_CAP:
+        raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} elements, got {n}")
     best_key = None
     best: Optional[tuple[ElementSubset, int]] = None
     for mask in range(1, (1 << n) - 1):

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from isocut import cli
-from isocut.hypergraph import MAX_VERTICES, parse_hypergraph
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, parse_hypergraph
 
 DUMBBELL = """7 6 1
 1 1 2
@@ -259,6 +259,11 @@ class TestGen:
         result = runner.invoke(cli.main, ["gen", "--model", "planted", "--n", "2000000", "--m", "3"])
         assert result.exit_code == 2
         assert f"n <= {MAX_VERTICES}" in result.stderr
+        # past the total-weight limit; from 2**63 up, numpy's own bound check would name no option
+        for weight in (MAX_TOTAL_WEIGHT, 1 << 63):
+            result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "3", "--max-weight", str(weight)])
+            assert result.exit_code == 2
+            assert f"max_weight < {MAX_TOTAL_WEIGHT}" in result.stderr
 
     def test_negative_seed_is_usage_error(self, runner):
         result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5", "--seed", "-1"])

@@ -23,7 +23,7 @@ from isocut import (
     serialize_hypergraph,
     st_mincut,
 )
-from isocut.hypergraph import MAX_VERTICES
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES
 
 from conftest import brute_min_nontrivial, brute_st_cut, philox, random_hypergraph, raw_cut
 
@@ -184,48 +184,64 @@ class TestStMincut:
             assert side1 == side2  # the minimal side is unique, hence order-free
 
 
+def random_sides(rng, n: int) -> tuple[int, int]:
+    """Disjoint non-empty (forced_in, forced_out) masks, either of any size."""
+    perm = [int(x) for x in rng.permutation(n)]
+    k_in = int(rng.integers(1, n))
+    k_out = int(rng.integers(1, n - k_in + 1))
+    return sum(1 << u for u in perm[:k_in]), sum(1 << u for u in perm[k_in:k_in + k_out])
+
+
 class TestContractedInstance:
     def test_path_single_vertex_cell(self):
         h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
-        ci = contracted_instance(h, 0, ElementSubset.of(3, [0]))
-        assert ci.hypergraph.n == 2
-        assert ci.hypergraph.edges == (((0, 1), 1),)  # the b-c edge collapses away
-        value, _ = st_mincut(
-            ci.hypergraph,
-            ElementSubset.of(2, [ci.source]),
-            ElementSubset.of(2, [ci.sink]),
-        )
-        assert value == raw_cut(h, 0b001)
+        ci = contracted_instance(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [1, 2]))
+        assert (ci.n, ci.vertex_ids, ci.p) == (2, (), 2)
+        assert ci.edges == (((0, 1), 1),)  # the b-c edge collapses away
+        assert raw_cut(ci, 0b01) == raw_cut(h, 0b001)
 
     def test_big_edge_image(self):
         h = Hypergraph(4, [((0, 1, 2, 3), 2)])
-        ci = contracted_instance(h, 0, ElementSubset.of(4, [0, 1]))
-        assert ci.hypergraph.edges == (((0, 1, 2), 2),)
-        assert ci.sink == 2
+        ci = contracted_instance(h, ElementSubset.of(4, [0]), ElementSubset.of(4, [2, 3]))
+        assert ci.edges == (((0, 1, 2), 2),)
+        assert ci.vertex_ids == (1,)
+
+    def test_merge_order_is_first_seen_and_small_images_drop(self):
+        # local 0 = {0, 1}, local 1 = {3, 4}, local 2 = vertex 2
+        h = Hypergraph(5, [
+            ((0, 1), 1),  # image {0}: dropped
+            ((2, 3), 4),  # (1, 2), first seen
+            ((0, 2), 2),  # (0, 2)
+            ((3, 4), 6),  # image {1}: dropped
+            ((2, 4), 8),  # merges into (1, 2)
+            ((1, 2), 5),  # merges into (0, 2)
+            ((0, 3), 1),  # (0, 1)
+            ((2,), 9),  # rank one: dropped
+        ])
+        ci = contracted_instance(h, ElementSubset.of(5, [0, 1]), ElementSubset.of(5, [3, 4]))
+        assert ci.edges == (((1, 2), 12), ((0, 2), 7), ((0, 1), 1))
+        assert (ci.n, ci.vertex_ids, ci.p) == (3, (2,), 6)
 
     def test_full_cell_rejected(self):
+        # no sink side, no source side, overlapping sides, another universe
         h = Hypergraph(3, [((0, 1), 1)])
-        with pytest.raises(ValueError):
-            contracted_instance(h, 0, ElementSubset.full(3))
-        with pytest.raises(ValueError):
-            contracted_instance(h, 0, ElementSubset.of(3, [1]))
+        one, two, empty = ElementSubset.of(3, [0]), ElementSubset.of(3, [1]), ElementSubset.empty(3)
+        for forced_in, forced_out in [(one, empty), (empty, two), (one, one | two), (ElementSubset.of(2, [0]), two)]:
+            with pytest.raises(ValueError):
+                contracted_instance(h, forced_in, forced_out)
 
     def test_cut_values_preserved(self):
+        # every A with forced_in <= A <= V - forced_out, sides of any size
         rng = philox(31)
-        for _ in range(25):
-            h = random_hypergraph(rng, n_lo=4, n_hi=9)
-            cell_size = int(rng.integers(1, h.n))
-            members = sorted(int(x) for x in rng.choice(h.n, size=cell_size, replace=False))
-            v = members[0]
-            cell = ElementSubset.of(h.n, members)
-            ci = contracted_instance(h, v, cell)
-            local = {orig: i for i, orig in enumerate(ci.vertex_ids)}
-            inner = [u for u in members if u != v]
-            for bits in range(1 << len(inner)):
-                chosen = [v] + [inner[i] for i in range(len(inner)) if (bits >> i) & 1]
-                orig_mask = sum(1 << u for u in chosen)
-                local_mask = sum(1 << local[u] for u in chosen)
-                assert raw_cut(h, orig_mask) == raw_cut(ci.hypergraph, local_mask)
+        for _ in range(40):
+            h = random_hypergraph(rng, n_lo=3, n_hi=9)
+            in_mask, out_mask = random_sides(rng, h.n)
+            ci = contracted_instance(h, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
+            free = ci.vertex_ids
+            assert free == tuple(u for u in range(h.n) if not (in_mask | out_mask) >> u & 1)
+            for bits in range(1 << len(free)):
+                orig_mask = in_mask | sum(1 << free[i] for i in range(len(free)) if bits >> i & 1)
+                assert raw_cut(h, orig_mask) == raw_cut(ci, 1 | bits << 2)
 
     def test_aggregate_size_over_disjoint_cells(self):
         # cells from actual runs stay within the 4 (p + |R|) budget
@@ -247,24 +263,35 @@ def test_generators_stop_at_the_parsers_vertex_limit(gen):
         gen(MAX_VERTICES + 1, 6, 3, 10, philox(1))
 
 
+@pytest.mark.parametrize("gen", [gen_uniform, gen_planted])
+def test_generators_stop_at_the_total_weight_limit(gen):
+    # one draw could reach the cut accounting's limit; from 2**63 up, numpy's
+    # own bound check would fire first and name no parameter
+    for max_weight in (MAX_TOTAL_WEIGHT, 1 << 63):
+        with pytest.raises(ValueError, match=f"max_weight < {MAX_TOTAL_WEIGHT}"):
+            gen(8, 6, 3, max_weight, philox(1))
+    gen(4, 1, 2, MAX_TOTAL_WEIGHT - 1, philox(1))  # one edge: just under the limit
+
+
 class TestFlowBlackbox:
     def test_matches_generic_cut_sfm(self):
+        # exhaustive SFM of the cut function, for one-vertex and larger sides
         rng = philox(41)
-        for _ in range(40):
+        for trial in range(80):
             h = random_hypergraph(rng, n_lo=3, n_hi=9)
             f = CutOracle(h)
-            picks = [int(x) for x in rng.choice(h.n, size=2, replace=False)]
-            forced_in = f.ground.subset(picks[:1])
-            forced_out = f.ground.subset(picks[1:])
-            a = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
-            # the blackbox solves a contraction; st_mincut the full network
-            flow, side = st_mincut(h, forced_in, forced_out)
-            assert (a.value, a.minimizer) == (flow, side - forced_in)
-            assert a.rep_size <= h.p
+            if trial % 2:
+                in_mask, out_mask = random_sides(rng, h.n)
+            else:
+                picks = [int(x) for x in rng.choice(h.n, size=2, replace=False)]
+                in_mask, out_mask = 1 << picks[0], 1 << picks[1]
+            res = HypergraphFlowBlackbox(h)(f, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
+            value, side = brute_st_cut(h, in_mask, out_mask)
+            assert (res.value, res.minimizer.mask) == (value, side & ~in_mask)
+            assert res.rep_size <= h.p
 
-    def test_cached_full_network_serves_distinct_queries(self):
-        # multi-vertex forced_in goes through the one network the blackbox
-        # builds and keeps; each solve must extend it without changing it
+    def test_one_blackbox_serves_distinct_queries(self):
+        # one instance answers many multi-vertex queries, each solved afresh
         h = gen_planted(10, 30, 3, 10, philox(43))[0]
         f = CutOracle(h)
         bb = HypergraphFlowBlackbox(h)
@@ -279,10 +306,9 @@ class TestFlowBlackbox:
                 continue
             seen.add((forced_in, forced_out))
             res = bb(f, forced_in, forced_out)
-            flow, side = st_mincut(h, forced_in, forced_out)
-            assert (res.value, res.minimizer) == (flow, side - forced_in)
+            value, side = brute_st_cut(h, forced_in.mask, forced_out.mask)
+            assert (res.value, res.minimizer.mask) == (value, side & ~forced_in.mask)
         assert bb.flow_solves == 20
-        assert bb._net._base == isocut.hypergraph._SplitNetwork(h)._base
 
     def test_rejects_foreign_oracle(self):
         h1 = Hypergraph(3, [((0, 1), 1)])
@@ -307,7 +333,7 @@ def flow_solve_count(monkeypatch):
 
 
 class TestFlowBlackboxMemo:
-    @pytest.mark.parametrize("forced", [([0], [3]), ([0, 5], [2, 3])], ids=["contracted", "full-network"])
+    @pytest.mark.parametrize("forced", [([0], [3]), ([0, 5], [2, 3])], ids=["one-vertex-side", "multi-vertex-sides"])
     def test_repeat_query_is_not_solved_again(self, flow_solve_count, forced):
         h = gen_planted(8, 24, 3, 10, philox(5))[0]
         f = CutOracle(h)
