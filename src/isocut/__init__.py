@@ -46,7 +46,6 @@ from .hypergraph import (
     st_mincut,
 )
 from .isolating import IsolatingResult, IsolatingStats, TerminalSet, bipartitions, isolating_sets
-from .maxflow import CutResult, FlowNetwork, max_flow
 from .sfm import BruteForceBlackbox, SfmResult, bruteforce_nontrivial_min, sfm_bruteforce
 
 __version__ = "0.1.0"
@@ -59,10 +58,8 @@ __all__ = [
     "ContractedInstance",
     "ContractedOracle",
     "CutOracle",
-    "CutResult",
     "DriverConfig",
     "ElementSubset",
-    "FlowNetwork",
     "GroundSet",
     "Hypergraph",
     "HypergraphFlowBlackbox",
@@ -93,7 +90,6 @@ __all__ = [
     "geometric_schedule",
     "hypergraph_mincut",
     "isolating_sets",
-    "max_flow",
     "parse_hypergraph",
     "parse_hypergraph_json",
     "sample_terminals",

@@ -64,29 +64,17 @@ class DriverConfig:
 
     rng_seed: int = 0
     repetitions_per_k: Optional[int] = None
-    k_schedule: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
         if self.repetitions_per_k is not None and self.repetitions_per_k < 1:
             raise ValueError("repetitions_per_k must be >= 1")
-        if self.k_schedule is not None:
-            object.__setattr__(self, "k_schedule", tuple(int(k) for k in self.k_schedule))
-            if not self.k_schedule or any(k < 1 for k in self.k_schedule):
-                raise ValueError("k_schedule entries must be >= 1")
 
     def resolved_repetitions(self, n: int) -> int:
         if self.repetitions_per_k is not None:
             return self.repetitions_per_k
         return math.ceil(REPETITION_CONSTANT * math.log2(n))
-
-    def resolved_schedule(self, n: int) -> tuple[int, ...]:
-        if self.k_schedule is None:
-            return geometric_schedule(n)
-        if any(k > n for k in self.k_schedule):
-            raise ValueError("k_schedule entries must be <= n")
-        return self.k_schedule
 
 
 def sample_terminals(n: int, k: int, rng: np.random.Generator) -> ElementSubset:
@@ -199,7 +187,7 @@ def find_nontrivial_minimizer(
     blackbox,
     observer: Optional[TrialObserver] = None,
 ) -> MinimizerResult:
-    """Sweep the k schedule and return the cheapest side seen anywhere.
+    """Sweep the geometric k schedule and return the cheapest side seen anywhere.
 
     Deterministic for a fixed (oracle, config) pair: per-trial randomness is
     keyed by (seed, k), and the merge uses the (value, size, bitmask) order.
@@ -207,14 +195,12 @@ def find_nontrivial_minimizer(
     n = f.ground.n
     if n < 2:
         raise ValueError("driver needs a ground set with n >= 2")
-    schedule = cfg.resolved_schedule(n)
-
     per_k: list[AtKResult] = []
     best_key = None
     best: Optional[tuple[ElementSubset, int]] = None
     trials = 0
     calls = 0
-    for k in schedule:
+    for k in geometric_schedule(n):
         res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox, observer=observer)
         per_k.append(res)
         trials += res.trials_run
@@ -226,9 +212,7 @@ def find_nontrivial_minimizer(
                 best = (res.best_set, res.best_value)
 
     if best is None:
-        raise RuntimeError(
-            "no trial produced a candidate; increase repetitions_per_k or widen k_schedule"
-        )
+        raise RuntimeError("no trial produced a candidate; increase repetitions_per_k")
     return MinimizerResult(
         best_set=best[0],
         best_value=best[1],

@@ -5,20 +5,20 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ElementSubset
-from .hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, Hypergraph, cut_value
+from .hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, Hypergraph, _echo, cut_value
 
 __all__ = ["gen_uniform", "gen_planted"]
 
 
 def _check_params(n: int, m: int, max_rank: int, max_weight: int) -> None:
     if not 2 <= n <= MAX_VERTICES:
-        raise ValueError(f"need 2 <= n <= {MAX_VERTICES} (the parsers' limit), got {n}")
+        raise ValueError(f"need 2 <= n <= {MAX_VERTICES} (the parsers' limit), got {_echo(n)}")
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise ValueError(f"need m >= 1, got {_echo(m)}")
     if not 2 <= max_rank <= n:
-        raise ValueError(f"need 2 <= max_rank <= n, got max_rank={max_rank}, n={n}")
+        raise ValueError(f"need 2 <= max_rank <= n, got max_rank={_echo(max_rank)}, n={_echo(n)}")
     if not 1 <= max_weight < MAX_TOTAL_WEIGHT:
-        raise ValueError(f"need 1 <= max_weight < {MAX_TOTAL_WEIGHT} (the total-weight limit), got {max_weight}")
+        raise ValueError(f"need 1 <= max_weight < {MAX_TOTAL_WEIGHT} (the total-weight limit), got {_echo(max_weight)}")
 
 
 def gen_uniform(n: int, m: int, max_rank: int, max_weight: int, rng: np.random.Generator) -> Hypergraph:

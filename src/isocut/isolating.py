@@ -67,7 +67,6 @@ def bipartitions(terminals: TerminalSet) -> list[tuple[ElementSubset, ElementSub
 class IsolatingStats:
     step1_calls: int
     step2_calls: int
-    step2_ground_total: int
     step2_rep_total: Optional[int]
 
 
@@ -121,7 +120,6 @@ def isolating_sets(f, terminals: TerminalSet, blackbox) -> IsolatingResult:
     stats = IsolatingStats(
         step1_calls=step1_calls,
         step2_calls=len(terminals),
-        step2_ground_total=sum(len(c) - 1 for c in cells.values()),
         step2_rep_total=rep_total,
     )
     return IsolatingResult(cells=cells, isolating_sets=iso, values=values, stats=stats)

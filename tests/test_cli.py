@@ -265,6 +265,12 @@ class TestGen:
             assert result.exit_code == 2
             assert f"max_weight < {MAX_TOTAL_WEIGHT}" in result.stderr
 
+    def test_long_offending_value_is_cut_short(self, runner):
+        result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "3", "--max-weight", "9" * 4000])
+        assert result.exit_code == 2
+        assert "... (4000 chars)" in result.stderr
+        assert len(result.stderr.encode()) < 300
+
     def test_negative_seed_is_usage_error(self, runner):
         result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5", "--seed", "-1"])
         assert result.exit_code == 2

@@ -60,10 +60,6 @@ class TestConfig:
             DriverConfig(rng_seed=-1)
         with pytest.raises(ValueError):
             DriverConfig(repetitions_per_k=0)
-        with pytest.raises(ValueError):
-            DriverConfig(k_schedule=(0,))
-        with pytest.raises(ValueError):
-            DriverConfig(k_schedule=(9,)).resolved_schedule(4)
 
 
 class TestSampling:
@@ -211,13 +207,6 @@ class TestSweep:
         f = SubmodularOracle(GroundSet(1), lambda s: 0, symmetric=True)
         with pytest.raises(ValueError):
             find_nontrivial_minimizer(f, DriverConfig(), BruteForceBlackbox())
-
-    def test_custom_schedule_respected(self):
-        f = CutOracle(dumbbell())
-        cfg = DriverConfig(rng_seed=3, k_schedule=(2, 3), repetitions_per_k=20)
-        res = find_nontrivial_minimizer(f, cfg, BruteForceBlackbox())
-        assert [r.k for r in res.per_k_breakdown] == [2, 3]
-        assert res.trials_run == 40
 
 
 REIMPORT = """

@@ -165,7 +165,6 @@ class TestStructure:
                 for v in members[i + 1:]:
                     assert not (cell & res.cells[v])
             assert total <= h.n
-            assert res.stats.step2_ground_total == total - len(members)
 
     def test_submodularity_inequality_on_cut_sides(self):
         # f(S_v) + f(C) >= f(S_v | C) + f(S_v & C) for every round-1 side C
