@@ -1,8 +1,8 @@
 """Command-line surface: mincut, isolate, gen, sfm.
 
 Machine output (JSON or generated files) goes to stdout, diagnostics to
-stderr, and every command is deterministic under --seed (fallback: the
-ISOCUT_SEED environment variable, then 0).
+stderr, and every randomized command is deterministic under --seed
+(fallback: the ISOCUT_SEED environment variable, then 0).
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def mincut(file, seed, reps, verify, as_json):
         "trials": res.trials,
         "reps": None if res.driver is None else cfg.resolved_repetitions(h.n),
         "k_schedule": schedule,
-        "oracle_queries": res.oracle_queries,
         "step2_rep_total": res.step2_rep_total,
         "verification": verdict,
     }
@@ -156,11 +155,9 @@ def mincut(file, seed, reps, verify, as_json):
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--terminals", required=True, help="Comma-separated 1-indexed vertices, at least two.")
-@click.option("--seed", type=int, default=None, help="Echoed into the report; the computation is deterministic.")
 @click.option("--json/--text", "as_json", default=False, help="Output format (default text table).")
-def isolate(file, terminals, seed, as_json):
+def isolate(file, terminals, as_json):
     """Minimum isolating sets of a hypergraph's cut function for given terminals."""
-    seed = _resolve_seed(seed)
     h = _load_hypergraph(file)
     try:
         ids = [int(tok) for tok in terminals.split(",") if tok.strip()]
@@ -196,7 +193,6 @@ def isolate(file, terminals, seed, as_json):
         "step2_calls": iso.stats.step2_calls,
         "cell_size_total": cell_total,
         "n": h.n,
-        "seed": seed,
     }
     _emit(report, as_json, [
         f"{'v':>4} {'|U_v|':>6} {'f(S_v)':>8}  S_v",

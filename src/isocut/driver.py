@@ -11,14 +11,13 @@ on the unlucky runs where it is not the minimum.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import ElementSubset
-from .isolating import IsolatingResult, TerminalSet, isolating_sets
+from .isolating import IsolatingStats, TerminalSet, isolating_sets
 
 __all__ = [
     "REPETITION_CONSTANT",
@@ -35,11 +34,6 @@ __all__ = [
 # chosen so a conservative 0.1 per-trial success probability drives the
 # failure rate below 1/n for n >= 4
 REPETITION_CONSTANT = 12
-
-# collections.abc.Callable, not typing.Callable: typing caches subscripted
-# aliases process-wide, which would keep every re-imported copy of this
-# package's classes and modules alive
-TrialObserver = Callable[[TerminalSet, IsolatingResult], None]
 
 
 def geometric_schedule(n: int) -> tuple[int, ...]:
@@ -98,12 +92,15 @@ def canonical_side(s: ElementSubset) -> ElementSubset:
 
 @dataclass(frozen=True)
 class AtKResult:
+    """Best side at rate 1/k; ``trial_stats`` has one entry per trial not skipped."""
+
     k: int
     best_set: Optional[ElementSubset]
     best_value: Optional[int]
     trials_run: int
     trials_skipped: int
     blackbox_calls: int
+    trial_stats: tuple[IsolatingStats, ...]
 
 
 @dataclass(frozen=True)
@@ -127,13 +124,7 @@ def _trial_rng(seed: int, k: int) -> np.random.Generator:
     )
 
 
-def find_nontrivial_minimizer_at_k(
-    f,
-    k: int,
-    cfg: DriverConfig,
-    blackbox,
-    observer: Optional[TrialObserver] = None,
-) -> AtKResult:
+def find_nontrivial_minimizer_at_k(f, k: int, cfg: DriverConfig, blackbox) -> AtKResult:
     """Run the repetitions for one sampling rate 1/k and keep the best side.
 
     Trials whose sample has fewer than two terminals are counted as failed
@@ -150,18 +141,15 @@ def find_nontrivial_minimizer_at_k(
 
     best_key = None
     best: Optional[tuple[ElementSubset, int]] = None
-    calls = 0
+    stats: list[IsolatingStats] = []
     skipped = 0
     for _ in range(reps):
         sample = sample_terminals(n, k, rng)
         if len(sample) < 2 or (len(sample) == n and n > 2):
             skipped += 1
             continue
-        terminals = TerminalSet(sample)
-        iso = isolating_sets(f, terminals, blackbox)
-        if observer is not None:
-            observer(terminals, iso)
-        calls += iso.stats.step1_calls + iso.stats.step2_calls
+        iso = isolating_sets(f, TerminalSet(sample), blackbox)
+        stats.append(iso.stats)
         for v, s_v in iso.isolating_sets.items():
             if not 0 < len(s_v) < n:
                 continue
@@ -177,16 +165,12 @@ def find_nontrivial_minimizer_at_k(
         best_value=best[1] if best else None,
         trials_run=reps,
         trials_skipped=skipped,
-        blackbox_calls=calls,
+        blackbox_calls=sum(s.step1_calls + s.step2_calls for s in stats),
+        trial_stats=tuple(stats),
     )
 
 
-def find_nontrivial_minimizer(
-    f,
-    cfg: DriverConfig,
-    blackbox,
-    observer: Optional[TrialObserver] = None,
-) -> MinimizerResult:
+def find_nontrivial_minimizer(f, cfg: DriverConfig, blackbox) -> MinimizerResult:
     """Sweep the geometric k schedule and return the cheapest side seen anywhere.
 
     Deterministic for a fixed (oracle, config) pair: per-trial randomness is
@@ -201,7 +185,7 @@ def find_nontrivial_minimizer(
     trials = 0
     calls = 0
     for k in geometric_schedule(n):
-        res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox, observer=observer)
+        res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox)
         per_k.append(res)
         trials += res.trials_run
         calls += res.blackbox_calls

@@ -76,7 +76,6 @@ class Hypergraph:
             raise ValueError("hypergraph needs n >= 1")
         self.n = n
         merged: dict[tuple[int, ...], int] = {}
-        order: list[tuple[int, ...]] = []
         total = 0
         for verts, w in edges:
             vs = tuple(sorted(set(int(v) for v in verts)))
@@ -90,17 +89,13 @@ class Hypergraph:
             total += w
             if total >= MAX_TOTAL_WEIGHT:
                 raise ValueError("total edge weight would overflow 64-bit cut accounting")
-            if vs in merged:
-                merged[vs] += w
-            else:
-                merged[vs] = w
-                order.append(vs)
-        # Tuples on the per-call path are built from lists, not generators:
-        # CPython sizes tuple(<generator>) from its 10-slot free list and
-        # frees the result to the list of its final size, so millions of
-        # calls drain one free list into the others and the process keeps
-        # ~3 MB more memory than it needs.
-        self.edges: tuple[tuple[tuple[int, ...], int], ...] = tuple([(vs, merged[vs]) for vs in order])
+            merged[vs] = merged.get(vs, 0) + w
+        # Tuples on the per-call path are built from lists or dict views, not
+        # generators: CPython sizes tuple(<generator>) from its 10-slot free
+        # list and frees the result to the list of its final size, so
+        # millions of calls drain one free list into the others and the
+        # process keeps ~3 MB more memory than it needs.
+        self.edges: tuple[tuple[tuple[int, ...], int], ...] = tuple(merged.items())
         self.p = sum(len(vs) for vs, _ in self.edges)
         self._masks = tuple([(sum(1 << v for v in vs), w) for vs, w in self.edges])
 
@@ -351,7 +346,7 @@ def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset
     for i, u in enumerate(ci.vertex_ids, 2):
         if reach[i]:
             mask |= 1 << u
-    return SfmResult(_unchecked_subset(h.n, mask), flow, oracle_queries_used=0, rep_size=ci.p)
+    return SfmResult(_unchecked_subset(h.n, mask), flow, ci.p)
 
 
 class HypergraphFlowBlackbox:
@@ -428,8 +423,6 @@ class HypergraphMincutResult:
     trials: int
     oracle_queries: int
     step2_rep_total: int
-    step2_rep_max_ratio: float
-    step2_rep_bound_ok: bool
     driver: Optional[MinimizerResult]
 
 
@@ -437,8 +430,9 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
     """Global hypergraph min cut via the randomized driver over flow solves.
 
     Disconnected inputs short-circuit to value 0 with a component as the
-    side.  Per terminal-set invocation, the per-cell instances are audited
-    against the 4 * (p + |R|) aggregate-size bound.
+    side.  ``step2_rep_total`` sums the representation sizes of every
+    round-2 instance solved; per-trial sums are in the driver's
+    ``trial_stats``.
     """
     if h.n < 2:
         raise ValueError("min cut needs at least 2 vertices")
@@ -448,25 +442,12 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
         return HypergraphMincutResult(
             value=0, side=side, n=h.n, m=h.m, p=h.p,
             blackbox_calls=0, flow_solves=0, trials=0, oracle_queries=0,
-            step2_rep_total=0, step2_rep_max_ratio=0.0, step2_rep_bound_ok=True,
-            driver=None,
+            step2_rep_total=0, driver=None,
         )
 
     oracle = CutOracle(h)
     blackbox = HypergraphFlowBlackbox(h)
-    audit = {"total": 0, "max_ratio": 0.0, "ok": True}
-
-    def observe(terminals, iso):
-        rep = iso.stats.step2_rep_total or 0
-        bound_base = h.p + len(terminals)
-        audit["total"] += rep
-        ratio = rep / bound_base
-        if ratio > audit["max_ratio"]:
-            audit["max_ratio"] = ratio
-        if rep > 4 * bound_base:
-            audit["ok"] = False
-
-    res = find_nontrivial_minimizer(oracle, cfg, blackbox, observer=observe)
+    res = find_nontrivial_minimizer(oracle, cfg, blackbox)
     return HypergraphMincutResult(
         value=res.best_value,
         side=res.best_set,
@@ -477,8 +458,6 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
         flow_solves=blackbox.flow_solves,
         trials=res.trials_run,
         oracle_queries=oracle.query_count,
-        step2_rep_total=audit["total"],
-        step2_rep_max_ratio=audit["max_ratio"],
-        step2_rep_bound_ok=audit["ok"],
+        step2_rep_total=sum(s.step2_rep_total for r in res.per_k_breakdown for s in r.trial_stats),
         driver=res,
     )

@@ -15,7 +15,6 @@ the per-terminal calls linear in the instance size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import ElementSubset, OracleContractError
 from .sfm import SfmResult
@@ -67,7 +66,7 @@ def bipartitions(terminals: TerminalSet) -> list[tuple[ElementSubset, ElementSub
 class IsolatingStats:
     step1_calls: int
     step2_calls: int
-    step2_rep_total: Optional[int]
+    step2_rep_total: int
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,13 @@ def isolating_sets(f, terminals: TerminalSet, blackbox) -> IsolatingResult:
 
     iso: dict[int, ElementSubset] = {}
     values: dict[int, int] = {}
-    rep_total: Optional[int] = 0
+    rep_total = 0
     for v in terminals.members:
         single = ElementSubset.of(terminals.n, (v,))
         res = blackbox(f, single, cells[v].complement())
         iso[v] = single | res.minimizer
         values[v] = res.value
-        if rep_total is not None:
-            rep_total = None if res.rep_size is None else rep_total + res.rep_size
+        rep_total += res.rep_size
 
     stats = IsolatingStats(
         step1_calls=step1_calls,

@@ -35,14 +35,13 @@ DEFAULT_BRUTEFORCE_CAP = 24
 class SfmResult:
     """One blackbox answer: the minimal minimizer and its value.
 
-    ``rep_size`` is filled by flow-backed blackboxes with the representation
-    size of the instance they actually solved; query-based ones leave None.
+    ``rep_size`` is the size of the instance actually solved: the number of
+    free elements enumerated, or the representation size of a flow network.
     """
 
     minimizer: ElementSubset
     value: int
-    oracle_queries_used: int
-    rep_size: Optional[int] = None
+    rep_size: int
 
 
 def sfm_bruteforce(f) -> SfmResult:
@@ -58,7 +57,6 @@ def sfm_bruteforce(f) -> SfmResult:
     if m > DEFAULT_BRUTEFORCE_CAP:
         raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got {m}")
     n = f.ground.n
-    before = f.query_count
     best: Optional[int] = None
     meet = 0
     # the free bits are distinct, so each sum is the union of its combination
@@ -75,7 +73,7 @@ def sfm_bruteforce(f) -> SfmResult:
         raise OracleContractError(
             "intersection of optimal sets is not optimal; oracle is not submodular"
         )
-    return SfmResult(minimizer, best, f.query_count - before)
+    return SfmResult(minimizer, best, m)
 
 
 class BruteForceBlackbox:

@@ -184,9 +184,15 @@ def test_criterion_7_sampling_constant():
 
 
 def test_criterion_8_disjoint_ground_accounting(mincut_sweep):
+    # per trial: the |R| round-2 instances total at most 4 (p + |R|); runs on
+    # disconnected inputs (driver is None) make no trial and count as within
     total = len(mincut_sweep)
-    within = sum(1 for _, _, res in mincut_sweep if res.step2_rep_bound_ok)
-    worst = max(res.step2_rep_max_ratio for _, _, res in mincut_sweep)
+    within = 0
+    worst = 0.0
+    for h, _, res in mincut_sweep:
+        trials = [] if res.driver is None else [s for r in res.driver.per_k_breakdown for s in r.trial_stats]
+        within += all(s.step2_rep_total <= 4 * (h.p + s.step2_calls) for s in trials)
+        worst = max([worst] + [s.step2_rep_total / (h.p + s.step2_calls) for s in trials])
     ok = within == total
     record(
         8, "disjoint-ground accounting", ok,

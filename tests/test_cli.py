@@ -74,7 +74,7 @@ class TestMincut:
         assert result.exit_code == 0
         assert list(json.loads(result.stdout)) == [
             "min_cut_value", "side", "n", "m", "p", "blackbox_calls", "seed", "trials",
-            "reps", "k_schedule", "oracle_queries", "step2_rep_total", "verification",
+            "reps", "k_schedule", "step2_rep_total", "verification",
         ]
 
     def test_parse_error_exits_1_with_line(self, runner, tmp_path):
@@ -223,6 +223,15 @@ class TestIsolate:
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "2,2"]).exit_code == 2
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "2,9"]).exit_code == 2
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "a,b"]).exit_code == 2
+
+    def test_seed_environment_is_ignored(self, runner, tmp_path):
+        # nothing in isolate is random, so no seed is read or reported
+        path = write(tmp_path, "star.hgr", STAR)
+        plain = runner.invoke(cli.main, ["isolate", path, "--terminals", "2,3", "--json"])
+        result = runner.invoke(cli.main, ["isolate", path, "--terminals", "2,3", "--json"], env={"ISOCUT_SEED": "abc"})
+        assert result.exit_code == 0
+        assert result.stdout == plain.stdout
+        assert "seed" not in json.loads(result.stdout)
 
 
 class TestGen:

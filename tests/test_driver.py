@@ -129,19 +129,15 @@ class TestAtK:
         assert res.best_value == 1
         assert set(res.best_set) in ({0, 1, 2}, {3, 4, 5})
 
-    def test_call_accounting_via_observer(self):
+    def test_call_accounting_via_trial_stats(self):
         f = CutOracle(dumbbell())
-        seen = []
-        res = find_nontrivial_minimizer_at_k(
-            f, 2, DriverConfig(rng_seed=11), BruteForceBlackbox(),
-            observer=lambda ts, iso: seen.append((len(ts), iso.stats)),
-        )
-        assert len(seen) == res.trials_run - res.trials_skipped
-        expected = sum((r - 1).bit_length() + r for r, _ in seen)
-        assert res.blackbox_calls == expected
-        for r, stats in seen:
+        res = find_nontrivial_minimizer_at_k(f, 2, DriverConfig(rng_seed=11), BruteForceBlackbox())
+        assert len(res.trial_stats) == res.trials_run - res.trials_skipped > 0
+        assert res.blackbox_calls == sum(s.step1_calls + s.step2_calls for s in res.trial_stats)
+        for stats in res.trial_stats:
+            r = stats.step2_calls  # one round-2 call per terminal
+            assert r >= 2
             assert stats.step1_calls == (r - 1).bit_length()
-            assert stats.step2_calls == r
 
 
 class TestSweep:

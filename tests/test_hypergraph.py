@@ -4,12 +4,14 @@ import pytest
 
 import isocut.hypergraph
 from isocut import (
+    BruteForceBlackbox,
     CutOracle,
     DriverConfig,
     ElementSubset,
     Hypergraph,
     HypergraphFlowBlackbox,
     HypergraphParseError,
+    TerminalSet,
     check_submodular,
     check_symmetric,
     connected_components,
@@ -18,6 +20,7 @@ from isocut import (
     gen_planted,
     gen_uniform,
     hypergraph_mincut,
+    isolating_sets,
     parse_hypergraph,
     parse_hypergraph_json,
     serialize_hypergraph,
@@ -249,12 +252,21 @@ class TestContractedInstance:
         for _ in range(10):
             h = random_hypergraph(rng, n_lo=5, n_hi=10)
             f = CutOracle(h)
-            from isocut import TerminalSet, isolating_sets
             size = int(rng.integers(2, h.n))
             members = sorted(int(x) for x in rng.choice(h.n, size=size, replace=False))
             res = isolating_sets(f, TerminalSet(ElementSubset.of(h.n, members)), HypergraphFlowBlackbox(h))
-            assert res.stats.step2_rep_total is not None
             assert res.stats.step2_rep_total <= 4 * (h.p + size)
+
+    def test_bruteforce_aggregate_size_is_cell_sizes(self):
+        # the brute-force blackbox enumerates |U_v| - 1 free elements per cell
+        rng = philox(38)
+        for _ in range(10):
+            h = random_hypergraph(rng, n_lo=5, n_hi=10)
+            size = int(rng.integers(2, h.n))
+            members = sorted(int(x) for x in rng.choice(h.n, size=size, replace=False))
+            res = isolating_sets(CutOracle(h), TerminalSet(ElementSubset.of(h.n, members)), BruteForceBlackbox())
+            expected = sum(len(res.cells[v]) - 1 for v in members)
+            assert res.stats.step2_rep_total == expected <= h.n - size
 
 
 @pytest.mark.parametrize("gen", [gen_uniform, gen_planted])
@@ -381,7 +393,9 @@ class TestGlobalMincut:
         assert res.value == 1
         assert set(res.side) == {0, 1, 2}
         assert res.blackbox_calls > 0
-        assert res.step2_rep_bound_ok
+        assert res.step2_rep_total == sum(
+            s.step2_rep_total for r in res.driver.per_k_breakdown for s in r.trial_stats
+        ) > 0
 
     def test_single_hyperedge_all_cuts_equal(self):
         h = Hypergraph(3, [((0, 1, 2), 5)])

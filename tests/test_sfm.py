@@ -53,9 +53,10 @@ class TestBruteforce:
 
     def test_query_accounting(self):
         f = triangle_oracle()
-        res = sfm_bruteforce(f)
+        before = f.query_count
+        sfm_bruteforce(f)
         # 2^3 enumerated subsets plus the final verification evaluation
-        assert res.oracle_queries_used == 9
+        assert f.query_count - before == 9
 
     def test_query_sequence_on_contraction(self):
         # every S of the free elements once, by cardinality then
@@ -68,13 +69,15 @@ class TestBruteforce:
                 queries = []
                 f = SubmodularOracle(GroundSet(h.n), lambda s: queries.append(s) or cut_value(h, s))
                 forced_in = f.ground.subset(picks[:1])
+                before = f.query_count
                 res = sfm_bruteforce(contract(f, forced_in, f.ground.subset(picks[k:])))
                 free = sorted(picks[1:k])
                 subsets = sorted(chain.from_iterable(combinations(free, r) for r in range(len(free) + 1)),
                                  key=lambda c: (len(c), c))
                 expected = [forced_in | f.ground.subset(c) for c in subsets] + [forced_in | res.minimizer]
                 assert queries == expected
-                assert len(queries) == res.oracle_queries_used == 2 ** len(free) + 1
+                assert len(queries) == f.query_count - before == 2 ** len(free) + 1
+                assert res.rep_size == len(free)
 
     def test_non_submodular_oracle_detected(self):
         # minimum 0 at {0} and {1} but their intersection costs 5
