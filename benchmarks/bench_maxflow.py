@@ -68,7 +68,7 @@ def main() -> None:
     print(json.dumps({
         "backend": BACKEND,
         "solves": args.solves,
-        "us_per_solve": {"python": us_per_solve},
+        "us_per_solve": us_per_solve,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }))

@@ -5,7 +5,7 @@ submodular-minimization blackbox via isolating sets; the hypergraph min-cut
 application answers those calls with an exact in-package max-flow solver.
 """
 
-from ._kernels import BACKEND, INF
+from ._kernels import BACKEND
 from .core import (
     ContractedOracle,
     ElementSubset,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "INF",
     "AtKResult",
     "BruteForceBlackbox",
     "ContractedInstance",

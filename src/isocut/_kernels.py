@@ -8,8 +8,10 @@ Arc layout: arcs come in pairs, arc ``a`` and ``a ^ 1`` are mutual reverses.
 Adjacency is a forward-star: ``head[v]`` is the first arc out of ``v`` and
 ``nxt[a]`` chains to the next one, -1 terminating.
 
-``INF`` is a sentinel, not saturating arithmetic: residual updates on INF
-arcs keep INF, so they are genuinely uncuttable.
+``INF`` is an ordinary capacity, large enough never to saturate: a
+``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60, so
+no flow reaches 2^60, and every source-sink path of a split network crosses
+a finite edge arc.
 """
 
 from __future__ import annotations
@@ -30,105 +32,61 @@ __all__ = [
 
 
 def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
-    """Run Dinic to completion; ``cap`` is mutated into the residual.
-
-    Raises if an augmenting path consists purely of INF arcs (unbounded flow).
-    """
-    inf = INF
-    level = [0] * n_nodes
-    cur = [0] * n_nodes
-    queue = [0] * n_nodes
-    path = [0] * (n_nodes + 1)
+    """Run Dinic to completion; ``cap`` is mutated into the residual."""
     total = 0
     while True:
-        # BFS over residual arcs builds the level graph
-        for i in range(n_nodes):
-            level[i] = -1
-        level[src] = 0
-        queue[0] = src
-        qh, qt = 0, 1
-        while qh < qt:
-            u = queue[qh]
-            qh += 1
-            a = head[u]
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue[qt] = v
-                    qt += 1
-                a = nxt[a]
+        level = residual_reachable(n_nodes, src, to, cap, head, nxt)
         if level[dst] < 0:
             return total
-        for i in range(n_nodes):
-            cur[i] = head[i]
         # blocking flow: iterative DFS with current-arc pointers
-        depth = 0
+        cur = head.copy()
+        path = []
         u = src
         while True:
             if u == dst:
-                f = inf
-                for d in range(depth):
-                    a = path[d]
-                    if cap[a] != inf and cap[a] < f:
-                        f = cap[a]
-                if f == inf:
-                    raise ValueError("max flow is unbounded: infinite-capacity source-sink path")
-                for d in range(depth):
-                    a = path[d]
-                    if cap[a] != inf:
-                        cap[a] -= f
-                    r = a ^ 1
-                    if cap[r] != inf:
-                        cap[r] += f
+                f = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
                 total += f
-                retreat = depth
-                for d in range(depth):
-                    if cap[path[d]] == 0:
-                        retreat = d
+                # retreat to the tail of the first saturated arc
+                for d, a in enumerate(path):
+                    if cap[a] == 0:
+                        del path[d:]
                         break
-                depth = retreat
-                u = src if depth == 0 else to[path[depth - 1]]
+                u = to[path[-1]] if path else src
                 continue
-            advanced = False
             a = cur[u]
-            while a != -1:
-                v = to[a]
-                if cap[a] > 0 and level[v] == level[u] + 1:
-                    path[depth] = a
-                    depth += 1
-                    u = v
-                    advanced = True
-                    break
+            ahead = level[u] + 1
+            while a != -1 and (cap[a] == 0 or level[to[a]] != ahead):
                 a = nxt[a]
-                cur[u] = a
-            if not advanced:
-                if u == src:
-                    break
+            cur[u] = a
+            if a != -1:
+                path.append(a)
+                u = to[a]
+            elif u == src:
+                break
+            else:
                 level[u] = -1  # dead end for this phase
-                depth -= 1
-                u = src if depth == 0 else to[path[depth - 1]]
+                path.pop()
+                u = to[path[-1]] if path else src
 
 
-def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[bool]:
-    """Per-node flags: reachable from ``src`` over arcs with positive residual."""
-    seen = [False] * n_nodes
-    queue = [0] * n_nodes
-    seen[src] = True
-    queue[0] = src
-    qh, qt = 0, 1
-    while qh < qt:
-        u = queue[qh]
-        qh += 1
+def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[int]:
+    """BFS levels from ``src`` over arcs with positive residual; -1 if unreachable."""
+    level = [-1] * n_nodes
+    level[src] = 0
+    queue = [src]
+    for u in queue:  # grows while it is read: breadth-first order
+        d = level[u] + 1
         a = head[u]
         while a != -1:
             v = to[a]
-            if cap[a] > 0 and not seen[v]:
-                seen[v] = True
-                queue[qt] = v
-                qt += 1
+            if cap[a] > 0 and level[v] < 0:
+                level[v] = d
+                queue.append(v)
             a = nxt[a]
-    return seen
+    return level
 
 
 def build_forward_star(n_nodes: int, arcs):

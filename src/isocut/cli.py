@@ -25,6 +25,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphFlowBlackbox,
     HypergraphParseError,
+    _parse_ints,
     hypergraph_mincut,
     parse_hypergraph,
     parse_hypergraph_json,
@@ -160,7 +161,7 @@ def isolate(file, terminals, as_json):
     """Minimum isolating sets of a hypergraph's cut function for given terminals."""
     h = _load_hypergraph(file)
     try:
-        ids = [int(tok) for tok in terminals.split(",") if tok.strip()]
+        ids = _parse_ints([tok.strip() for tok in terminals.split(",") if tok.strip()])
     except ValueError:
         raise click.UsageError(f"--terminals must be comma-separated integers, got {terminals!r}")
     if len(ids) != len(set(ids)):
@@ -246,7 +247,7 @@ def sfm(demo, seed, reps, as_json):
         label = f"cut:{arg}"
     elif family == "concave":
         try:
-            n = int(arg)
+            (n,) = _parse_ints([arg])
         except ValueError:
             raise click.UsageError(f"concave demo needs an integer size, got {arg!r}")
         if n < 2:

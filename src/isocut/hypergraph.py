@@ -11,6 +11,7 @@ its sink side into one vertex each, and solves on that contraction.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,19 @@ MAX_TOTAL_WEIGHT = 1 << 60
 MAX_VERTICES = 1 << 20
 # parse errors echo at most this much of an offending value's repr
 _ECHO_CHARS = 40
+_DECIMAL_CHARS = re.compile(r"[0-9+-]*")
+
+
+def _parse_ints(tokens: list[str]) -> list[int]:
+    """``int`` of each token, for ASCII ``[+-]?[0-9]+`` tokens only; else ``ValueError``.
+
+    Bare ``int`` also reads ``1_0`` as 10, non-ASCII digits and padded
+    tokens.  On ASCII digits and signs alone it accepts exactly
+    ``[+-]?[0-9]+``, so one character check covers a whole line.
+    """
+    if not _DECIMAL_CHARS.fullmatch("".join(tokens)):
+        raise ValueError("tokens must be ASCII decimal integers")
+    return [int(tok) for tok in tokens]
 
 
 def _echo(value) -> str:
@@ -154,7 +168,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(header) not in (2, 3):
         raise HypergraphParseError("header must be 'm n [fmt]'", header_line)
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = _parse_ints(header[:2])
     except ValueError:
         raise HypergraphParseError("header fields must be integers", header_line) from None
     if n < 1 or m < 0:
@@ -176,7 +190,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     total = 0
     for lineno, parts in body:
         try:
-            nums = [int(tok) for tok in parts]
+            nums = _parse_ints(parts)
         except ValueError:
             raise HypergraphParseError("hyperedge fields must be integers", lineno) from None
         if weighted:
@@ -344,7 +358,7 @@ def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset
     reach = residual_reachable(node_count, 0, to, cap, head, nxt)
     mask = 0
     for i, u in enumerate(ci.vertex_ids, 2):
-        if reach[i]:
+        if reach[i] >= 0:
             mask |= 1 << u
     return SfmResult(_unchecked_subset(h.n, mask), flow, ci.p)
 
@@ -354,14 +368,14 @@ class HypergraphFlowBlackbox:
 
     Each call contracts ``forced_in`` and ``forced_out`` to one vertex each
     and solves the s-t min cut of that contraction.  Each distinct
-    ``(forced_in, forced_out)`` is solved once per instance: the minimal
-    minimizer is unique, so a repeated call is answered from memory (and
-    still counts as a blackbox call to its caller).
+    ``(forced_in, forced_out)`` is validated and solved once per instance:
+    the minimal minimizer is unique, so a repeated call is answered from
+    memory (and still counts as a blackbox call to its caller).
     """
 
     def __init__(self, h: Hypergraph):
         self.h = h
-        self._answers: dict[tuple[int, int], SfmResult] = {}
+        self._answers: dict[tuple[int, int, int, int], SfmResult] = {}
 
     @property
     def flow_solves(self) -> int:
@@ -371,8 +385,9 @@ class HypergraphFlowBlackbox:
     def __call__(self, f, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
         if getattr(f, "hypergraph", None) is not self.h:
             raise ValueError("oracle is not the cut oracle of this blackbox's hypergraph")
-        _check_terminal_sides(self.h, forced_in, forced_out)
-        key = (forced_in.mask, forced_out.mask)
+        # n and mask determine a subset, so a hit is a pair validated on its
+        # first call; plain ints keep the memo out of the cyclic GC's way
+        key = (forced_in.n, forced_in.mask, forced_out.n, forced_out.mask)
         res = self._answers.get(key)
         if res is None:
             res = self._answers[key] = _flow_cut(self.h, forced_in, forced_out)

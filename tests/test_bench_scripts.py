@@ -33,4 +33,4 @@ def test_tiny_run_ends_with_strict_json_record(script, args, keys):
     assert set(record) == keys
     if script == "bench_maxflow.py":
         assert record["solves"] == 5
-        assert list(record["us_per_solve"]) == ["python"]
+        assert isinstance(record["us_per_solve"], float) and record["us_per_solve"] > 0

@@ -181,6 +181,14 @@ class TestMincut:
         path = write(tmp_path, "heavy.hgr", f"2 3 1\n{1 << 59} 1 2\n{1 << 59} 2 3\n")
         self.assert_parse_error(runner, path, "line 3: total edge weight")
 
+    @pytest.mark.parametrize("text", ["1 1_0\n1 2\n", "1 ١٠\n1 2\n"], ids=["underscore", "arabic-indic"])
+    def test_non_ascii_decimal_header_exits_1(self, runner, tmp_path, text):
+        path = write(tmp_path, "bad.hgr", text)
+        result = runner.invoke(cli.main, ["mincut", path])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{path}: line 1: header fields must be integers" in result.stderr
+
     def test_one_vertex_exits_1(self, runner, tmp_path):
         for name, text in (("one.hgr", "0 1\n"), ("one.json", '{"n": 1, "edges": []}')):
             path = write(tmp_path, name, text)
@@ -223,6 +231,9 @@ class TestIsolate:
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "2,2"]).exit_code == 2
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "2,9"]).exit_code == 2
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "a,b"]).exit_code == 2
+        assert runner.invoke(cli.main, ["isolate", path, "--terminals", "1,2_0"]).exit_code == 2
+        assert runner.invoke(cli.main, ["isolate", path, "--terminals", "١,٢"]).exit_code == 2
+        assert runner.invoke(cli.main, ["isolate", path, "--terminals", " 2, 3 "]).exit_code == 0
 
     def test_seed_environment_is_ignored(self, runner, tmp_path):
         # nothing in isolate is random, so no seed is read or reported
@@ -306,6 +317,8 @@ class TestSfm:
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:1"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "weird:4"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:x"]).exit_code == 2
+        assert runner.invoke(cli.main, ["sfm", "--demo", "concave:1_0"]).exit_code == 2
+        assert runner.invoke(cli.main, ["sfm", "--demo", "concave:٨"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "cut:"]).exit_code == 2
 
     def test_negative_seed_is_usage_error(self, runner):

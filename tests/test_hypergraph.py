@@ -131,6 +131,13 @@ class TestParser:
         with pytest.raises(HypergraphParseError, match="invalid JSON"):
             parse_hypergraph_json("{nope")
 
+    @pytest.mark.parametrize("text", ["1 1_0\n1 2\n", "1 ١٠\n1 2\n", "1 3\n1 1_0\n", "1 3\n1 ٢\n"],
+                             ids=["header-underscore", "header-arabic-indic", "edge-underscore", "edge-arabic-indic"])
+    def test_only_ascii_decimal_tokens(self, text):
+        # int() alone reads 1_0 as 10 and Arabic-Indic digits as their values
+        with pytest.raises(HypergraphParseError, match="must be integers"):
+            parse_hypergraph(text)
+
     def test_vertex_count_limit(self):
         # rejected from the header alone, before anything is sized by n
         n = 2**40
@@ -356,6 +363,16 @@ class TestFlowBlackboxMemo:
         assert flow_solve_count[0] == bb.flow_solves == 1
         fresh = HypergraphFlowBlackbox(h)(f, forced_in, forced_out)
         assert again == first == fresh
+
+    def test_memo_hit_needs_the_same_universe(self):
+        # the memo key includes each subset's n, not just its mask
+        h = gen_planted(6, 12, 3, 10, philox(6))[0]
+        f = CutOracle(h)
+        bb = HypergraphFlowBlackbox(h)
+        bb(f, ElementSubset(6, 0b1), ElementSubset(6, 0b10))
+        with pytest.raises(ValueError, match="do not live on this hypergraph"):
+            bb(f, ElementSubset(7, 0b1), ElementSubset(7, 0b10))
+        assert bb.flow_solves == 1
 
     def test_flow_solves_counts_kernel_solves(self, flow_solve_count):
         h = gen_planted(12, 36, 3, 10, philox(7))[0]

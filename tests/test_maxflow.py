@@ -4,12 +4,11 @@ Networks are plain ``(node_count, arcs, source, sink)`` data, solved with the
 same three kernel calls the hypergraph blackbox makes.
 """
 
-import pytest
+from isocut import ElementSubset
+from isocut._kernels import INF, build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, _split_network, contracted_instance
 
-from isocut import INF
-from isocut._kernels import build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
-
-from conftest import philox
+from conftest import philox, random_hypergraph
 
 
 def kernel_cut(node_count, arcs, source, sink):
@@ -17,7 +16,7 @@ def kernel_cut(node_count, arcs, source, sink):
     to, cap, head, nxt = build_forward_star(node_count, arcs)
     flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
     reach = residual_reachable(node_count, source, to, cap, head, nxt)
-    return flow, frozenset(i for i in range(node_count) if reach[i]), cap
+    return flow, frozenset(i for i in range(node_count) if reach[i] >= 0), cap
 
 
 def enumerate_min_cut(node_count, arcs, source, sink):
@@ -92,13 +91,24 @@ class TestInfArcs:
     def test_inf_arcs_never_saturate(self):
         flow, side, cap = kernel_cut(4, ((0, 1, INF), (1, 2, 6), (2, 3, INF)), 0, 3)
         assert flow == 6
-        assert cap[0::2] == [INF, 0, INF]  # forward slots: only the finite arc is used up
+        assert cap[2] == 0  # the finite arc is used up
+        assert cap[0] > 0 and cap[4] > 0  # INF is an ordinary capacity that outlasts any flow
         assert side == frozenset({0, 1})
 
-    def test_all_inf_path_is_unbounded(self):
-        to, cap, head, nxt = build_forward_star(3, ((0, 1, INF), (1, 2, INF)))
-        with pytest.raises(ValueError, match="unbounded"):
-            solve_max_flow(3, 0, 2, to, cap, head, nxt)
+    def test_split_networks_bound_every_flow(self):
+        # INF needs no special case: every 0 -> 1 path of a split network
+        # crosses a finite edge arc, and the total weight stays below 2^60
+        rng = philox(77)
+        for _ in range(40):
+            h = random_hypergraph(rng, n_lo=3, n_hi=9, max_rank=5, max_weight=MAX_TOTAL_WEIGHT >> 5)
+            picks = rng.choice(h.n, size=2, replace=False)
+            forced_in, forced_out = (ElementSubset.of(h.n, [int(v)]) for v in picks)
+            node_count, to, cap, head, nxt = _split_network(contracted_instance(h, forced_in, forced_out))
+            inf_only = [c if c == INF else 0 for c in cap]
+            assert residual_reachable(node_count, 0, to, inf_only, head, nxt)[1] < 0
+            inf_slots = [a for a, c in enumerate(cap) if c == INF]
+            assert solve_max_flow(node_count, 0, 1, to, cap, head, nxt) < MAX_TOTAL_WEIGHT
+            assert all(cap[a] > 0 for a in inf_slots)
 
 
 class TestAgainstEnumeration:
