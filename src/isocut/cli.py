@@ -25,6 +25,7 @@ from .hypergraph import (
     Hypergraph,
     HypergraphFlowBlackbox,
     HypergraphParseError,
+    _echo,
     _parse_ints,
     hypergraph_mincut,
     parse_hypergraph,
@@ -39,6 +40,21 @@ VERIFY_CAP = 14
 SEED_LIMIT = 1 << 64
 
 
+class _DecimalInt(click.ParamType):
+    """ASCII ``[+-]?[0-9]+`` only; click's ``int`` also reads ``1_0`` and non-ASCII digits."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return value if isinstance(value, int) else _parse_ints([value])[0]
+        except ValueError:
+            self.fail(f"{_echo(value)} is not an ASCII decimal integer", param, ctx)
+
+
+DECIMAL_INT = _DecimalInt()
+
+
 def _resolve_seed(seed):
     source = "--seed"
     if seed is None:
@@ -47,7 +63,7 @@ def _resolve_seed(seed):
             return 0
         source = "ISOCUT_SEED"
         try:
-            seed = int(env)
+            (seed,) = _parse_ints([env])
         except ValueError:
             raise click.UsageError(f"ISOCUT_SEED is not an integer: {env!r}")
     if not 0 <= seed < SEED_LIMIT:
@@ -102,8 +118,8 @@ def main():
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None, help="RNG seed (fallback: ISOCUT_SEED, then 0).")
-@click.option("--reps", type=int, default=None, help="Sampling repetitions per k (default: ceil(12 log2 n)).")
+@click.option("--seed", type=DECIMAL_INT, default=None, help="RNG seed (fallback: ISOCUT_SEED, then 0).")
+@click.option("--reps", type=DECIMAL_INT, default=None, help="Sampling repetitions per k (default: ceil(12 log2 n)).")
 @click.option("--verify", is_flag=True, help="Cross-check against brute force (n <= 14).")
 @click.option("--json/--text", "as_json", default=True, help="Output format (default JSON).")
 def mincut(file, seed, reps, verify, as_json):
@@ -208,11 +224,11 @@ def isolate(file, terminals, as_json):
 
 @main.command()
 @click.option("--model", type=click.Choice(["uniform", "planted"]), default="uniform", show_default=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--m", "m", type=int, required=True)
-@click.option("--max-rank", type=int, default=3, show_default=True)
-@click.option("--max-weight", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--n", "n", type=DECIMAL_INT, required=True)
+@click.option("--m", "m", type=DECIMAL_INT, required=True)
+@click.option("--max-rank", type=DECIMAL_INT, default=3, show_default=True)
+@click.option("--max-weight", type=DECIMAL_INT, default=10, show_default=True)
+@click.option("--seed", type=DECIMAL_INT, default=None)
 def gen(model, n, m, max_rank, max_weight, seed):
     """Emit a random hypergraph file on stdout; deterministic under --seed."""
     seed = _resolve_seed(seed)
@@ -230,8 +246,8 @@ def gen(model, n, m, max_rank, max_weight, seed):
 
 @main.command()
 @click.option("--demo", required=True, help="Oracle family: cut:<file> or concave:<n>.")
-@click.option("--seed", type=int, default=None)
-@click.option("--reps", type=int, default=None)
+@click.option("--seed", type=DECIMAL_INT, default=None)
+@click.option("--reps", type=DECIMAL_INT, default=None)
 @click.option("--json/--text", "as_json", default=True)
 def sfm(demo, seed, reps, as_json):
     """Nontrivial minimizer demo with the brute-force blackbox; reports query counts."""

@@ -11,8 +11,6 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 __all__ = [
     "SizeLimitError",
     "OracleContractError",
@@ -51,9 +49,6 @@ class GroundSet:
     def full(self) -> "ElementSubset":
         return ElementSubset(self.n, (1 << self.n) - 1)
 
-    def singleton(self, i: int) -> "ElementSubset":
-        return ElementSubset.of(self.n, (i,))
-
     def subset(self, members) -> "ElementSubset":
         return ElementSubset.of(self.n, members)
 
@@ -91,14 +86,6 @@ class ElementSubset:
                 raise ValueError(f"element {i} outside 0..{n - 1}")
             mask |= 1 << i
         return cls(n, mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "ElementSubset":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "ElementSubset":
-        return cls(n, (1 << n) - 1)
 
     def _check(self, other: "ElementSubset") -> None:
         if self.n != other.n:
@@ -162,7 +149,7 @@ class SubmodularOracle:
     """Counting wrapper around an exact integer-valued set function.
 
     ``evaluate`` is the only query channel; the counter increments exactly
-    once per call.  ``symmetric`` is a claim, spot-checkable with
+    once per call.  ``symmetric`` is a claim, checkable with
     :func:`check_symmetric`.
     """
 
@@ -255,105 +242,61 @@ class ViolationReport:
     checks: int = 0
 
 
-def _free_elements(f) -> list[int]:
-    return list(f.free)
-
-
-def _positions_to_subset(positions_mask: int, elems: list[int], n: int) -> ElementSubset:
-    mask = 0
-    pm = positions_mask
-    while pm:
-        low = pm & -pm
-        mask |= 1 << elems[low.bit_length() - 1]
-        pm ^= low
-    return ElementSubset(n, mask)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def _subset_masks(f) -> list[int]:
+    """Masks of all subsets of the free elements; bit i of the index picks the i-th free element."""
+    masks = [0]
+    for e in f.free:
+        masks += [x | 1 << e for x in masks]
+    return masks
 
 
 EXHAUSTIVE_SUBMODULAR_CAP = 16
 EXHAUSTIVE_SYMMETRY_CAP = 20
 
 
-def check_submodular(f, mode: str = "exhaustive", trials: int = 1000, seed: int = 0) -> ViolationReport:
+def check_submodular(f) -> ViolationReport:
     """Search for a pair violating f(A) + f(B) >= f(A|B) + f(A&B).
 
-    Exhaustive mode runs the equivalent local condition
-    f(A+i) + f(A+j) >= f(A+i+j) + f(A) over every A and i != j outside A,
-    which covers all pairs; it needs at most 16 free elements.  Sampled mode
-    tests ``trials`` random pairs directly.
+    Runs the equivalent local condition f(A+i) + f(A+j) >= f(A+i+j) + f(A)
+    over every A and i != j outside A, which covers all pairs; it needs at
+    most 16 free elements.
     """
-    elems = _free_elements(f)
-    m = len(elems)
+    m = len(f.free)
+    if m > EXHAUSTIVE_SUBMODULAR_CAP:
+        raise SizeLimitError(f"exhaustive submodularity check capped at {EXHAUSTIVE_SUBMODULAR_CAP} elements, got {m}")
     n = f.ground.n
-    if mode == "exhaustive":
-        if m > EXHAUSTIVE_SUBMODULAR_CAP:
-            raise SizeLimitError(f"exhaustive submodularity check capped at {EXHAUSTIVE_SUBMODULAR_CAP} elements, got {m}")
-        table = [f.evaluate(_positions_to_subset(am, elems, n)) for am in range(1 << m)]
-        checks = 0
-        for am in range(1 << m):
-            fa = table[am]
-            outside = [i for i in range(m) if not (am >> i) & 1]
-            for x, i in enumerate(outside):
-                ai = am | (1 << i)
-                for j in outside[x + 1:]:
-                    aj = am | (1 << j)
-                    checks += 1
-                    if table[ai] + table[aj] < table[ai | aj] + fa:
-                        wa = _positions_to_subset(ai, elems, n)
-                        wb = _positions_to_subset(aj, elems, n)
-                        return ViolationReport(
-                            False, (wa, wb),
-                            (table[ai], table[aj], table[ai | aj], fa), checks,
-                        )
-        return ViolationReport(True, checks=checks)
-    if mode == "sampled":
-        rng = _rng(seed)
-        for t in range(trials):
-            am = int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
-            bm = int.from_bytes(rng.bytes((m + 7) // 8), "little") & ((1 << m) - 1)
-            a = _positions_to_subset(am, elems, n)
-            b = _positions_to_subset(bm, elems, n)
-            fa, fb = f.evaluate(a), f.evaluate(b)
-            fu = f.evaluate(_positions_to_subset(am | bm, elems, n))
-            fi = f.evaluate(_positions_to_subset(am & bm, elems, n))
-            if fa + fb < fu + fi:
-                return ViolationReport(False, (a, b), (fa, fb, fu, fi), t + 1)
-        return ViolationReport(True, checks=trials)
-    raise ValueError(f"unknown mode {mode!r}")
+    masks = _subset_masks(f)
+    table = [f.evaluate(ElementSubset(n, x)) for x in masks]
+    checks = 0
+    for am in range(1 << m):
+        fa = table[am]
+        outside = [i for i in range(m) if not (am >> i) & 1]
+        for x, i in enumerate(outside):
+            ai = am | (1 << i)
+            for j in outside[x + 1:]:
+                aj = am | (1 << j)
+                checks += 1
+                if table[ai] + table[aj] < table[ai | aj] + fa:
+                    witness = (ElementSubset(n, masks[ai]), ElementSubset(n, masks[aj]))
+                    return ViolationReport(False, witness, (table[ai], table[aj], table[ai | aj], fa), checks)
+    return ViolationReport(True, checks=checks)
 
 
-def check_symmetric(f, mode: str = "exhaustive", trials: int = 1000, seed: int = 0) -> ViolationReport:
-    """Search for S with f(S) != f(complement of S) over the free elements."""
-    elems = _free_elements(f)
-    m = len(elems)
+def check_symmetric(f) -> ViolationReport:
+    """Search for S with f(S) != f(complement of S) over at most 20 free elements."""
+    m = len(f.free)
+    if m > EXHAUSTIVE_SYMMETRY_CAP:
+        raise SizeLimitError(f"exhaustive symmetry check capped at {EXHAUSTIVE_SYMMETRY_CAP} elements, got {m}")
     n = f.ground.n
-    full_pm = (1 << m) - 1
-    if mode == "exhaustive":
-        if m > EXHAUSTIVE_SYMMETRY_CAP:
-            raise SizeLimitError(f"exhaustive symmetry check capped at {EXHAUSTIVE_SYMMETRY_CAP} elements, got {m}")
-        checks = 0
-        for am in range(1 << m):
-            cm = full_pm ^ am
-            if am > cm:
-                continue
-            checks += 1
-            a = _positions_to_subset(am, elems, n)
-            c = _positions_to_subset(cm, elems, n)
-            fa, fc = f.evaluate(a), f.evaluate(c)
-            if fa != fc:
-                return ViolationReport(False, (a, c), (fa, fc), checks)
-        return ViolationReport(True, checks=checks)
-    if mode == "sampled":
-        rng = _rng(seed)
-        for t in range(trials):
-            am = int.from_bytes(rng.bytes((m + 7) // 8), "little") & full_pm
-            a = _positions_to_subset(am, elems, n)
-            c = _positions_to_subset(full_pm ^ am, elems, n)
-            fa, fc = f.evaluate(a), f.evaluate(c)
-            if fa != fc:
-                return ViolationReport(False, (a, c), (fa, fc), t + 1)
-        return ViolationReport(True, checks=trials)
-    raise ValueError(f"unknown mode {mode!r}")
+    masks = _subset_masks(f)
+    full = masks[-1]
+    checks = 0
+    # the first half of the masks (the one mask when m == 0) is one side of
+    # every complementary pair: the side without the last free element
+    for x in masks[:(len(masks) + 1) // 2]:
+        checks += 1
+        a, c = ElementSubset(n, x), ElementSubset(n, full ^ x)
+        fa, fc = f.evaluate(a), f.evaluate(c)
+        if fa != fc:
+            return ViolationReport(False, (a, c), (fa, fc), checks)
+    return ViolationReport(True, checks=checks)

@@ -114,7 +114,8 @@ class MinimizerResult:
     per_k_breakdown: tuple[AtKResult, ...]
 
 
-def _candidate_key(value: int, side: ElementSubset) -> tuple[int, int, int]:
+def _candidate_key(candidate: tuple[int, ElementSubset]) -> tuple[int, int, int]:
+    value, side = candidate
     return (value, len(side), side.mask)
 
 
@@ -139,32 +140,24 @@ def find_nontrivial_minimizer_at_k(f, k: int, cfg: DriverConfig, blackbox) -> At
     reps = cfg.resolved_repetitions(n)
     rng = _trial_rng(cfg.rng_seed, k)
 
-    best_key = None
-    best: Optional[tuple[ElementSubset, int]] = None
     stats: list[IsolatingStats] = []
-    skipped = 0
+    candidates: list[tuple[int, ElementSubset]] = []
     for _ in range(reps):
         sample = sample_terminals(n, k, rng)
         if len(sample) < 2 or (len(sample) == n and n > 2):
-            skipped += 1
             continue
         iso = isolating_sets(f, TerminalSet(sample), blackbox)
         stats.append(iso.stats)
-        for v, s_v in iso.isolating_sets.items():
-            if not 0 < len(s_v) < n:
-                continue
-            cand = canonical_side(s_v)
-            key = _candidate_key(iso.values[v], cand)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cand, iso.values[v])
+        candidates += [(iso.values[v], canonical_side(s_v))
+                       for v, s_v in iso.isolating_sets.items() if 0 < len(s_v) < n]
+    best_value, best_set = min(candidates, key=_candidate_key, default=(None, None))
 
     return AtKResult(
         k=k,
-        best_set=best[0] if best else None,
-        best_value=best[1] if best else None,
+        best_set=best_set,
+        best_value=best_value,
         trials_run=reps,
-        trials_skipped=skipped,
+        trials_skipped=reps - len(stats),
         blackbox_calls=sum(s.step1_calls + s.step2_calls for s in stats),
         trial_stats=tuple(stats),
     )
@@ -179,28 +172,15 @@ def find_nontrivial_minimizer(f, cfg: DriverConfig, blackbox) -> MinimizerResult
     n = f.ground.n
     if n < 2:
         raise ValueError("driver needs a ground set with n >= 2")
-    per_k: list[AtKResult] = []
-    best_key = None
-    best: Optional[tuple[ElementSubset, int]] = None
-    trials = 0
-    calls = 0
-    for k in geometric_schedule(n):
-        res = find_nontrivial_minimizer_at_k(f, k, cfg, blackbox)
-        per_k.append(res)
-        trials += res.trials_run
-        calls += res.blackbox_calls
-        if res.best_set is not None:
-            key = _candidate_key(res.best_value, res.best_set)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (res.best_set, res.best_value)
-
-    if best is None:
+    per_k = [find_nontrivial_minimizer_at_k(f, k, cfg, blackbox) for k in geometric_schedule(n)]
+    found = [(r.best_value, r.best_set) for r in per_k if r.best_set is not None]
+    if not found:
         raise RuntimeError("no trial produced a candidate; increase repetitions_per_k")
+    best_value, best_set = min(found, key=_candidate_key)
     return MinimizerResult(
-        best_set=best[0],
-        best_value=best[1],
-        trials_run=trials,
-        blackbox_calls_total=calls,
+        best_set=best_set,
+        best_value=best_value,
+        trials_run=sum(r.trials_run for r in per_k),
+        blackbox_calls_total=sum(r.blackbox_calls for r in per_k),
         per_k_breakdown=tuple(per_k),
     )

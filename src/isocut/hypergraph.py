@@ -11,6 +11,7 @@ its sink side into one vertex each, and solves on that contraction.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -92,12 +93,12 @@ class Hypergraph:
         merged: dict[tuple[int, ...], int] = {}
         total = 0
         for verts, w in edges:
-            vs = tuple(sorted(set(int(v) for v in verts)))
+            vs = tuple(sorted(set(map(operator.index, verts))))
             if not vs:
                 raise ValueError("hyperedge with no vertices")
             if vs[0] < 0 or vs[-1] >= n:
                 raise ValueError(f"hyperedge {vs} has a vertex outside 0..{n - 1}")
-            w = int(w)
+            w = operator.index(w)
             if w < 1:
                 raise ValueError(f"hyperedge {vs} has non-positive weight {w}")
             total += w

@@ -4,7 +4,6 @@ Nothing else imports them, so a name they import going away would otherwise
 break them unnoticed.
 """
 
-import json
 import os
 import subprocess
 import sys

@@ -351,6 +351,52 @@ class TestSfm:
             assert "capped at 24 free elements" in result.stderr
 
 
+class TestIntegerOptions:
+    """Integer options and ISOCUT_SEED take ASCII ``[+-]?[0-9]+`` only, like the files."""
+
+    FLAG_CASES = [
+        ["mincut", "FILE", "--seed", "V"],
+        ["mincut", "FILE", "--reps", "V"],
+        ["gen", "--n", "V", "--m", "5"],
+        ["gen", "--n", "5", "--m", "V"],
+        ["gen", "--n", "5", "--m", "5", "--max-rank", "V"],
+        ["gen", "--n", "5", "--m", "5", "--max-weight", "V"],
+        ["gen", "--n", "5", "--m", "5", "--seed", "V"],
+        ["sfm", "--demo", "concave:6", "--seed", "V"],
+        ["sfm", "--demo", "concave:6", "--reps", "V"],
+    ]
+    ENV_CASES = [["mincut", "FILE"], ["gen", "--n", "5", "--m", "5"], ["sfm", "--demo", "concave:6"]]
+
+    @staticmethod
+    def assert_usage_error(result):
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("value", ["1_0", "٣"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("args", FLAG_CASES, ids=lambda a: a[0] + a[a.index("V") - 1])
+    def test_flag_rejects_non_ascii_decimal(self, runner, tmp_path, args, value):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        args = [path if a == "FILE" else value if a == "V" else a for a in args]
+        result = runner.invoke(cli.main, args)
+        self.assert_usage_error(result)
+        assert "is not an ASCII decimal integer" in result.stderr
+
+    @pytest.mark.parametrize("value", ["1_0", "٣"], ids=["underscore", "arabic-indic"])
+    @pytest.mark.parametrize("args", ENV_CASES, ids=lambda a: a[0])
+    def test_env_seed_rejects_non_ascii_decimal(self, runner, tmp_path, args, value):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        args = [path if a == "FILE" else a for a in args]
+        result = runner.invoke(cli.main, args, env={"ISOCUT_SEED": value})
+        self.assert_usage_error(result)
+        assert "ISOCUT_SEED is not an integer" in result.stderr
+
+    def test_signed_ascii_values_still_parse(self, runner):
+        result = runner.invoke(cli.main, ["gen", "--n", "+5", "--m", "05", "--max-rank", "3", "--seed", "+7"])
+        assert result.exit_code == 0
+        assert result.stdout == runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5", "--seed", "7"]).stdout
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, runner, tmp_path):
         dumbbell = write(tmp_path, "dumbbell.hgr", DUMBBELL)

@@ -68,7 +68,7 @@ class TestGroundSet:
         g = GroundSet(4)
         assert list(g.full()) == [0, 1, 2, 3]
         assert not g.empty()
-        assert list(g.singleton(2)) == [2]
+        assert list(g.subset([2])) == [2]
 
 
 def path_oracle():
@@ -153,12 +153,12 @@ class TestOracle:
 
 class TestCheckers:
     def test_cut_function_is_submodular(self):
-        report = check_submodular(path_oracle(), mode="exhaustive")
+        report = check_submodular(path_oracle())
         assert report.ok and report.checks > 0
 
     def test_squared_cardinality_violates(self):
         f = SubmodularOracle(GroundSet(3), lambda s: len(s) ** 2)
-        report = check_submodular(f, mode="exhaustive")
+        report = check_submodular(f)
         assert not report.ok
         a, b = report.witness
         fa, fb, fu, fi = report.values
@@ -168,27 +168,22 @@ class TestCheckers:
 
     def test_constant_zero_is_submodular(self):
         f = SubmodularOracle(GroundSet(4), lambda s: 0)
-        assert check_submodular(f, mode="exhaustive").ok
-
-    def test_sampled_submodular_finds_gross_violation(self):
-        f = SubmodularOracle(GroundSet(6), lambda s: len(s) ** 3)
-        report = check_submodular(f, mode="sampled", trials=500, seed=3)
-        assert not report.ok
+        assert check_submodular(f).ok
 
     def test_exhaustive_cap(self):
         f = SubmodularOracle(GroundSet(17), lambda s: 0)
         with pytest.raises(SizeLimitError):
-            check_submodular(f, mode="exhaustive")
+            check_submodular(f)
         g = SubmodularOracle(GroundSet(21), lambda s: 0)
         with pytest.raises(SizeLimitError):
-            check_symmetric(g, mode="exhaustive")
+            check_symmetric(g)
 
     def test_cut_function_is_symmetric(self):
-        assert check_symmetric(path_oracle(), mode="exhaustive").ok
+        assert check_symmetric(path_oracle()).ok
 
     def test_cardinality_violates_symmetry(self):
         f = SubmodularOracle(GroundSet(3), lambda s: len(s))
-        report = check_symmetric(f, mode="exhaustive")
+        report = check_symmetric(f)
         assert not report.ok
         a, c = report.witness
         assert len(a) != len(c)
@@ -197,12 +192,33 @@ class TestCheckers:
     def test_folded_cardinality_is_symmetric(self):
         n = 5
         f = SubmodularOracle(GroundSet(n), lambda s: min(len(s), n - len(s)))
-        assert check_symmetric(f, mode="exhaustive").ok
+        assert check_symmetric(f).ok
 
     def test_checkers_work_on_contractions(self):
         f = path_oracle()
         g = contract(f, f.ground.subset([0]), f.ground.empty())
-        assert check_submodular(g, mode="exhaustive").ok
+        assert check_submodular(g).ok
+
+    def test_accounting_is_pinned(self):
+        # submodular: one query per subset, one check per (A, i < j) outside A;
+        # symmetric: one check and two queries per complementary pair
+        f = path_oracle()
+        report = check_submodular(f)
+        assert (report.ok, report.checks, f.query_count) == (True, 6, 8)
+        f = path_oracle()
+        report = check_symmetric(f)
+        assert (report.ok, report.checks, f.query_count) == (True, 4, 8)
+
+        f = path_oracle()
+        report = check_submodular(contract(f, f.ground.subset([0]), f.ground.empty()))
+        assert (report.ok, report.checks, f.query_count) == (True, 1, 4)
+
+        f = SubmodularOracle(GroundSet(5), lambda s: len(s) ** 2)
+        report = check_submodular(f)
+        assert not report.ok
+        assert report.witness == (f.ground.subset([0]), f.ground.subset([1]))
+        assert report.values == (1, 1, 4, 0)
+        assert (report.checks, f.query_count) == (1, 32)
 
 
 class TestNontrivialMinimizerExists:

@@ -66,7 +66,7 @@ class TestSampling:
     def test_k_one_selects_everything(self):
         rng = philox(1)
         for _ in range(20):
-            assert sample_terminals(9, 1, rng) == ElementSubset.full(9)
+            assert sample_terminals(9, 1, rng) == GroundSet(9).full()
 
     def test_k_equals_n_mean_size(self):
         rng = philox(2)

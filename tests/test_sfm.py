@@ -160,9 +160,9 @@ class TestCutFunctionBlackbox:
     def test_empty_side_rejected(self):
         h = Hypergraph(3, [((0, 1), 1)])
         with pytest.raises(ValueError):
-            flow_sfm(h, ElementSubset.of(3, [0]), ElementSubset.empty(3))
+            flow_sfm(h, ElementSubset.of(3, [0]), GroundSet(3).empty())
         with pytest.raises(ValueError):
-            flow_sfm(h, ElementSubset.empty(3), ElementSubset.of(3, [0]))
+            flow_sfm(h, GroundSet(3).empty(), ElementSubset.of(3, [0]))
 
 
 class TestOracleEquivalence:
