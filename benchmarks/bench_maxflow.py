@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the max-flow kernel: microseconds per solve.
 
-Solves a seeded batch of random split-vertex hypergraph networks with
-``solve_max_flow`` followed by ``residual_reachable`` from local vertex 0 to
-1, the way the hypergraph blackbox does; each network is built from a
-``contracted_instance`` outside the timed region.  The last line is one JSON
-record: the package's backend, the solve count, microseconds per solve, and
-the Python and numpy versions.  Run directly:
+Solves a seeded batch of random reduced hypergraph networks
+(``hypergraph._split_network``) with ``solve_max_flow`` followed by
+``residual_reachable`` from local vertex 0 to 1, the way the hypergraph
+blackbox does; each network is built from a ``contracted_instance`` outside
+the timed region.  The last line is one JSON record: the package's backend,
+the solve count, microseconds per solve, the mean node and residual-arc
+counts per network, and the Python and numpy versions.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -35,7 +36,7 @@ def make_instances(count: int, rng: np.random.Generator):
         picks = rng.choice(n, size=2, replace=False)
         sources = ElementSubset.of(n, [int(picks[0])])
         sinks = ElementSubset.of(n, [int(picks[1])])
-        node_count, *star = _split_network(contracted_instance(h, sources, sinks))
+        _, node_count, *star = _split_network(contracted_instance(h, sources, sinks))
         jobs.append((node_count, 0, 1, *star))
     return jobs
 
@@ -62,13 +63,17 @@ def main() -> None:
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     jobs = make_instances(args.solves, rng)
-    print(f"{args.solves} split-vertex networks, up to ~100 nodes each\n")
+    nodes_per_solve = sum(job[0] for job in jobs) / len(jobs)
+    arcs_per_solve = sum(len(job[3]) for job in jobs) / len(jobs)
+    print(f"{args.solves} reduced networks, {nodes_per_solve:.1f} nodes and {arcs_per_solve:.1f} arcs on average\n")
 
     us_per_solve = run(jobs)
     print(json.dumps({
         "backend": BACKEND,
         "solves": args.solves,
         "us_per_solve": us_per_solve,
+        "nodes_per_solve": nodes_per_solve,
+        "arcs_per_solve": arcs_per_solve,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }))

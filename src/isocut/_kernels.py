@@ -10,8 +10,10 @@ Adjacency is a forward-star: ``head[v]`` is the first arc out of ``v`` and
 
 ``INF`` is an ordinary capacity, large enough never to saturate: a
 ``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60, so
-no flow reaches 2^60, and every source-sink path of a split network crosses
-a finite edge arc.
+no flow reaches 2^60, and every source-sink path of a reduced hypergraph
+network crosses a finite edge arc.  The first arc out of the source is
+finite, or it is an ``INF`` arc into the in-node of a split gadget, whose
+only arc out is the edge's finite in-out arc.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[int]:
 
 
 def build_forward_star(n_nodes: int, arcs):
-    """Pack ``(u, v, capacity)`` triples into paired-arc forward-star lists."""
+    """Pack ``(u, v, capacity, reverse_capacity)`` quadruples into paired-arc
+    forward-star lists: arc ``u -> v`` holds ``capacity`` and its pair
+    ``v -> u`` holds ``reverse_capacity``."""
     return extend_forward_star([], [], [-1] * n_nodes, [], arcs)
 
 
@@ -99,9 +103,9 @@ def extend_forward_star(to, cap, head, nxt, extra_arcs):
     head = head.copy()
     fwd = len(to)
     to_tail, cap_tail, nxt_tail = [], [], []
-    for u, v, c in extra_arcs:
+    for u, v, c, rc in extra_arcs:
         to_tail += (v, u)
-        cap_tail += (c, 0)
+        cap_tail += (c, rc)
         nxt_tail.append(head[u])
         head[u] = fwd
         nxt_tail.append(head[v])

@@ -65,9 +65,9 @@ def _resolve_seed(seed):
         try:
             (seed,) = _parse_ints([env])
         except ValueError:
-            raise click.UsageError(f"ISOCUT_SEED is not an integer: {env!r}")
+            raise click.UsageError(f"ISOCUT_SEED is not an integer: {_echo(env)}")
     if not 0 <= seed < SEED_LIMIT:
-        raise click.UsageError(f"{source} must be in 0..2**64-1, got {seed}")
+        raise click.UsageError(f"{source} must be in 0..2**64-1, got {_echo(seed)}")
     return seed
 
 

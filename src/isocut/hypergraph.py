@@ -1,11 +1,25 @@
 """Weighted hypergraphs: cut oracle, file formats, and flow-backed min-cut.
 
-The s-t machinery uses the split-vertex reduction: each hyperedge becomes an
-internal arc of its weight, wired to its vertices with uncuttable arcs, so a
-directed s-t min cut of the network equals the hypergraph s-t cut.  A rank-r
-hyperedge contributes O(r) to the network, keeping the reduction linear in
-the representation size p.  Every s-t query first merges its source side and
-its sink side into one vertex each, and solves on that contraction.
+Every s-t query first merges its source side and its sink side into one
+vertex each, local vertices 0 and 1, and solves a max flow from 0 to 1 on
+that contraction.  Each contracted edge of weight ``w`` becomes the smallest
+gadget that costs ``w`` in a minimum cut exactly when the edge crosses the
+vertex bipartition:
+
+- an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
+  to a constant and no arc is built;
+- any other two-vertex edge ``{u, v}`` is one arc pair, ``w`` each way;
+- an edge holding 0 and at least two free vertices is one node ``e``, with
+  ``0 -> e`` of capacity ``w`` and ``e -> v`` uncuttable for each free ``v``;
+- an edge holding 1 and at least two free vertices is one node ``e``, with
+  ``v -> e`` uncuttable and ``e -> 1`` of capacity ``w``;
+- any other edge is the split-vertex gadget (Lawler, Networks 1973): an
+  in-node and an out-node joined by an arc of weight ``w``, with uncuttable
+  arcs from each vertex to the in-node and from the out-node to each vertex.
+
+Arcs into 0 and out of 1 carry no capacity: no flow and no source-side
+reachability can use them.  A rank-r hyperedge contributes O(r) to the
+network, keeping the reduction linear in the representation size p.
 """
 
 from __future__ import annotations
@@ -87,6 +101,7 @@ class Hypergraph:
     """
 
     def __init__(self, n: int, edges):
+        n = operator.index(n)
         if n < 1:
             raise ValueError("hypergraph needs n >= 1")
         self.n = n
@@ -335,33 +350,51 @@ def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: Ele
 
 
 def _split_network(ci: ContractedInstance):
-    """Split-vertex network of ``ci``: ``(node_count, to, cap, head, nxt)``.
+    """Reduced flow network of ``ci``: ``(uncut, node_count, to, cap, head, nxt)``.
 
-    Nodes 0..n-1 are the local vertices, then an in/out pair per edge.
+    Nodes 0..n-1 are the local vertices, then one node per gadget on a
+    terminal and an in/out pair per split gadget (see the module docstring).
+    ``uncut`` is the weight of the edges holding both 0 and 1, which every
+    source side cuts.
     """
-    n = ci.n
+    uncut = 0
     arcs = []
-    e_in = n
+    node = ci.n
     for verts, w in ci.edges:
-        arcs.append((e_in, e_in + 1, w))
-        for v in verts:
-            arcs.append((v, e_in, INF))
-            arcs.append((e_in + 1, v, INF))
-        e_in += 2
-    return (e_in, *build_forward_star(e_in, arcs))
+        first, second = verts[0], verts[1]  # images are sorted
+        if second == 1:
+            uncut += w
+        elif len(verts) == 2:
+            # no capacity into 0 or out of 1
+            arcs.append((first, second, 0 if first == 1 else w, 0 if first == 0 else w))
+        elif first == 0:
+            arcs.append((0, node, w, 0))
+            arcs += [(node, v, INF, 0) for v in verts[1:]]
+            node += 1
+        elif first == 1:
+            arcs.append((node, 1, w, 0))
+            arcs += [(v, node, INF, 0) for v in verts[1:]]
+            node += 1
+        else:
+            arcs.append((node, node + 1, w, 0))
+            for v in verts:
+                arcs.append((v, node, INF, 0))
+                arcs.append((node + 1, v, INF, 0))
+            node += 2
+    return (uncut, node, *build_forward_star(node, arcs))
 
 
 def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
     """Minimal minimizer over the free vertices, by max flow from 0 to 1."""
     ci = contracted_instance(h, forced_in, forced_out)
-    node_count, to, cap, head, nxt = _split_network(ci)
+    uncut, node_count, to, cap, head, nxt = _split_network(ci)
     flow = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
     reach = residual_reachable(node_count, 0, to, cap, head, nxt)
     mask = 0
     for i, u in enumerate(ci.vertex_ids, 2):
         if reach[i] >= 0:
             mask |= 1 << u
-    return SfmResult(_unchecked_subset(h.n, mask), flow, ci.p)
+    return SfmResult(_unchecked_subset(h.n, mask), uncut + flow, ci.p)
 
 
 class HypergraphFlowBlackbox:

@@ -391,6 +391,17 @@ class TestIntegerOptions:
         self.assert_usage_error(result)
         assert "ISOCUT_SEED is not an integer" in result.stderr
 
+    @pytest.mark.parametrize("value, where", [
+        ("x" * 5000, "ISOCUT_SEED is not an integer"),
+        ("9" * 4000, "ISOCUT_SEED must be in 0..2**64-1"),
+    ], ids=["unparsable", "out-of-range"])
+    def test_long_env_seed_is_cut_short(self, runner, value, where):
+        result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "5"], env={"ISOCUT_SEED": value})
+        self.assert_usage_error(result)
+        assert where in result.stderr
+        assert " chars)" in result.stderr
+        assert len(result.stderr.encode()) < 300
+
     def test_signed_ascii_values_still_parse(self, runner):
         result = runner.invoke(cli.main, ["gen", "--n", "+5", "--m", "05", "--max-rank", "3", "--seed", "+7"])
         assert result.exit_code == 0

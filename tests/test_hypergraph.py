@@ -27,7 +27,7 @@ from isocut import (
     serialize_hypergraph,
     st_mincut,
 )
-from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, _flow_cut, _split_network
 
 from conftest import brute_min_nontrivial, brute_st_cut, philox, random_hypergraph, raw_cut
 
@@ -60,6 +60,11 @@ class TestModel:
         # int() would truncate 1.7 to 1 and 2.9 to 2 and build a different edge
         with pytest.raises(TypeError):
             Hypergraph(3, [edge])
+
+
+    def test_non_integer_vertex_count_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Hypergraph(2.5, [((0, 1), 1)])
 
 
 class TestCutValue:
@@ -342,6 +347,60 @@ class TestFlowBlackbox:
         f = CutOracle(h1)
         with pytest.raises(ValueError):
             HypergraphFlowBlackbox(h2)(f, f.ground.subset([0]), f.ground.subset([1]))
+
+
+def edge_class(image: tuple[int, ...]) -> str:
+    """Which gadget a sorted contracted image gets; local 0 is the source, 1 the sink."""
+    if image[:2] == (0, 1):
+        return "both terminals"
+    if len(image) == 2:
+        return {0: "source pair", 1: "sink pair"}.get(image[0], "free pair")
+    return {0: "source node", 1: "sink node"}.get(image[0], "split pair")
+
+
+class TestReducedNetwork:
+    WEIGHT = MAX_TOTAL_WEIGHT >> 5
+
+    def test_each_edge_class_gets_its_gadget(self):
+        # forced_in {0, 1} is local 0, forced_out {6, 7} is local 1, 2..5 are free
+        w = self.WEIGHT
+        h = Hypergraph(8, [
+            ((0, 7), w),  # both terminals
+            ((0, 2, 3, 6), w - 1),  # both terminals, rank 4
+            ((0, 1), 5),  # image {0}: dropped
+            ((1, 2), w - 2),  # source pair
+            ((3, 6), w - 3),  # sink pair
+            ((2, 3), w - 4),  # free pair
+            ((1, 4, 5), w - 5),  # source node
+            ((2, 5, 7), w - 6),  # sink node
+            ((2, 4, 5), w - 7),  # split pair
+        ])
+        forced_in, forced_out = ElementSubset.of(8, [0, 1]), ElementSubset.of(8, [6, 7])
+        ci = contracted_instance(h, forced_in, forced_out)
+        uncut, node_count, to, cap, head, nxt = _split_network(ci)
+        assert uncut == 2 * w - 1
+        assert node_count == ci.n + 1 + 1 + 2
+        # one arc pair per two-vertex image, one per vertex of a one-node
+        # gadget, 2r + 1 per split gadget
+        assert len(to) == 2 * (3 + 3 + 3 + 7)
+        res = _flow_cut(h, forced_in, forced_out)
+        value, side = brute_st_cut(h, forced_in.mask, forced_out.mask)
+        assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~forced_in.mask, ci.p)
+
+    def test_flow_cut_matches_enumeration(self):
+        # rank up to 5, sides of any size, weights near the total-weight limit
+        rng = philox(47)
+        seen = set()
+        for _ in range(150):
+            h = random_hypergraph(rng, n_lo=3, n_hi=10, max_rank=5, max_weight=self.WEIGHT)
+            in_mask, out_mask = random_sides(rng, h.n)
+            forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
+            ci = contracted_instance(h, forced_in, forced_out)
+            seen.update(edge_class(image) for image, _ in ci.edges)
+            res = _flow_cut(h, forced_in, forced_out)
+            value, side = brute_st_cut(h, in_mask, out_mask)
+            assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, ci.p)
+        assert len(seen) == 7
 
 
 @pytest.fixture

@@ -11,9 +11,14 @@ from isocut.hypergraph import MAX_TOTAL_WEIGHT, _split_network, contracted_insta
 from conftest import philox, random_hypergraph
 
 
+def one_way(arcs):
+    """``(u, v, c)`` arcs as the packer's quadruples, with no reverse capacity."""
+    return [(u, v, c, 0) for u, v, c in arcs]
+
+
 def kernel_cut(node_count, arcs, source, sink):
     """(flow value, minimal source side, residual capacities) from the kernel."""
-    to, cap, head, nxt = build_forward_star(node_count, arcs)
+    to, cap, head, nxt = build_forward_star(node_count, one_way(arcs))
     flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
     reach = residual_reachable(node_count, source, to, cap, head, nxt)
     return flow, frozenset(i for i in range(node_count) if reach[i] >= 0), cap
@@ -96,14 +101,14 @@ class TestInfArcs:
         assert side == frozenset({0, 1})
 
     def test_split_networks_bound_every_flow(self):
-        # INF needs no special case: every 0 -> 1 path of a split network
+        # INF needs no special case: every 0 -> 1 path of a reduced network
         # crosses a finite edge arc, and the total weight stays below 2^60
         rng = philox(77)
         for _ in range(40):
             h = random_hypergraph(rng, n_lo=3, n_hi=9, max_rank=5, max_weight=MAX_TOTAL_WEIGHT >> 5)
             picks = rng.choice(h.n, size=2, replace=False)
             forced_in, forced_out = (ElementSubset.of(h.n, [int(v)]) for v in picks)
-            node_count, to, cap, head, nxt = _split_network(contracted_instance(h, forced_in, forced_out))
+            _, node_count, to, cap, head, nxt = _split_network(contracted_instance(h, forced_in, forced_out))
             inf_only = [c if c == INF else 0 for c in cap]
             assert residual_reachable(node_count, 0, to, inf_only, head, nxt)[1] < 0
             inf_slots = [a for a, c in enumerate(cap) if c == INF]
@@ -119,11 +124,24 @@ class TestAgainstEnumeration:
             flow, side, _ = kernel_cut(*net)
             assert (flow, side) == enumerate_min_cut(*net)
 
+    def test_reverse_capacity_is_the_paired_arc(self):
+        # (u, v, c, rc) is the arcs u -> v of capacity c and v -> u of capacity rc
+        rng = philox(59)
+        for _ in range(60):
+            node_count, arcs, source, sink = random_network(rng, max_nodes=8)
+            pairs = [(u, v, c, int(rng.integers(0, 21))) for u, v, c in arcs]
+            to, cap, head, nxt = build_forward_star(node_count, pairs)
+            flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
+            reach = residual_reachable(node_count, source, to, cap, head, nxt)
+            side = frozenset(i for i in range(node_count) if reach[i] >= 0)
+            both_ways = [arc for u, v, c, rc in pairs for arc in ((u, v, c), (v, u, rc))]
+            assert (flow, side) == enumerate_min_cut(node_count, both_ways, source, sink)
+
     def test_conservation_and_capacity(self):
         rng = philox(55)
         for _ in range(30):
             node_count, arcs, source, sink = random_network(rng, max_nodes=7)
-            to, cap, head, nxt = build_forward_star(node_count, arcs)
+            to, cap, head, nxt = build_forward_star(node_count, one_way(arcs))
             orig = cap.copy()
             flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
             assert flow >= 0
@@ -142,9 +160,9 @@ class TestAgainstEnumeration:
 
 
 def test_extend_forward_star_leaves_base_untouched():
-    to, cap, head, nxt = build_forward_star(3, [(0, 1, 5)])
+    to, cap, head, nxt = build_forward_star(3, [(0, 1, 5, 0)])
     before = [list(x) for x in (to, cap, head, nxt)]
-    to2, cap2, head2, nxt2 = extend_forward_star(to, cap, head, nxt, [(1, 2, 7)])
+    to2, cap2, head2, nxt2 = extend_forward_star(to, cap, head, nxt, [(1, 2, 7, 3)])
     to2[0] = cap2[0] = head2[0] = nxt2[0] = 2
     assert [list(x) for x in (to, cap, head, nxt)] == before
     assert len(to2) == len(to) + 2
