@@ -36,7 +36,6 @@ from .hypergraph import (
     HypergraphFlowBlackbox,
     HypergraphMincutResult,
     HypergraphParseError,
-    connected_components,
     contracted_instance,
     cut_value,
     hypergraph_mincut,
@@ -78,7 +77,6 @@ __all__ = [
     "canonical_side",
     "check_submodular",
     "check_symmetric",
-    "connected_components",
     "contract",
     "contracted_instance",
     "cut_value",

@@ -1,5 +1,10 @@
 """Max-flow inner loops: Dinic and residual reachability on Python lists.
 
+``residual_reachable`` is the one BFS.  ``solve_max_flow`` runs it once per
+Dinic phase and returns ``(flow, level)``: ``level`` is the last phase's BFS,
+the one on the final residual that finds the sink unreachable, so its nodes
+at level >= 0 are the minimal source side of a minimum cut.
+
 The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are plain
 lists of ints, indexed one element at a time (indexing a numpy array
 element-wise from Python is several times slower than indexing a list).
@@ -33,13 +38,13 @@ __all__ = [
 ]
 
 
-def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> int:
-    """Run Dinic to completion; ``cap`` is mutated into the residual."""
+def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> tuple[int, list[int]]:
+    """Run Dinic to completion, mutating ``cap`` into the residual; returns ``(flow, level)``."""
     total = 0
     while True:
         level = residual_reachable(n_nodes, src, to, cap, head, nxt)
         if level[dst] < 0:
-            return total
+            return total, level
         # blocking flow: iterative DFS with current-arc pointers
         cur = head.copy()
         path = []

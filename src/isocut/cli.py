@@ -179,14 +179,14 @@ def isolate(file, terminals, as_json):
     try:
         ids = _parse_ints([tok.strip() for tok in terminals.split(",") if tok.strip()])
     except ValueError:
-        raise click.UsageError(f"--terminals must be comma-separated integers, got {terminals!r}")
+        raise click.UsageError(f"--terminals must be comma-separated integers, got {_echo(terminals)}")
     if len(ids) != len(set(ids)):
         raise click.UsageError("--terminals contains a repeated vertex")
     if len(ids) < 2:
         raise click.UsageError("need at least 2 terminals")
     for v in ids:
         if not 1 <= v <= h.n:
-            raise click.UsageError(f"terminal {v} outside 1..{h.n}")
+            raise click.UsageError(f"terminal {_echo(v)} outside 1..{h.n}")
 
     oracle = CutOracle(h)
     ts = TerminalSet(oracle.ground.subset([v - 1 for v in ids]))
@@ -265,13 +265,13 @@ def sfm(demo, seed, reps, as_json):
         try:
             (n,) = _parse_ints([arg])
         except ValueError:
-            raise click.UsageError(f"concave demo needs an integer size, got {arg!r}")
+            raise click.UsageError(f"concave demo needs an integer size, got {_echo(arg)}")
         if n < 2:
             raise click.UsageError("concave demo needs n >= 2")
         oracle = SubmodularOracle(GroundSet(n), lambda s: min(len(s), n - len(s)), symmetric=True)
         label = f"concave:{n}"
     else:
-        raise click.UsageError(f"unknown demo family {family!r} (use cut:<file> or concave:<n>)")
+        raise click.UsageError(f"unknown demo family {_echo(family)} (use cut:<file> or concave:<n>)")
     # every blackbox call forces at least one element in and one out
     if oracle.ground.n - 2 > DEFAULT_BRUTEFORCE_CAP:
         raise click.UsageError(

@@ -37,7 +37,7 @@ REPETITION_CONSTANT = 12
 
 
 def geometric_schedule(n: int) -> tuple[int, ...]:
-    """Deduplicated ceil(1.5**i) for i = 0, 1, ... while the value is <= n."""
+    """ceil(1.5**i) for i = 0, 1, ... while the value is <= n (strictly increasing)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ks: list[int] = []
@@ -46,8 +46,7 @@ def geometric_schedule(n: int) -> tuple[int, ...]:
         k = -(-(3**i) // (2**i))  # exact ceil(1.5**i)
         if k > n:
             break
-        if not ks or ks[-1] != k:
-            ks.append(k)
+        ks.append(k)
         i += 1
     return tuple(ks)
 

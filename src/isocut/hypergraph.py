@@ -48,7 +48,6 @@ __all__ = [
     "ContractedInstance",
     "contracted_instance",
     "HypergraphFlowBlackbox",
-    "connected_components",
     "HypergraphMincutResult",
     "hypergraph_mincut",
     "MAX_TOTAL_WEIGHT",
@@ -388,11 +387,10 @@ def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset
     """Minimal minimizer over the free vertices, by max flow from 0 to 1."""
     ci = contracted_instance(h, forced_in, forced_out)
     uncut, node_count, to, cap, head, nxt = _split_network(ci)
-    flow = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
-    reach = residual_reachable(node_count, 0, to, cap, head, nxt)
+    flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
     mask = 0
     for i, u in enumerate(ci.vertex_ids, 2):
-        if reach[i] >= 0:
+        if level[i] >= 0:
             mask |= 1 << u
     return SfmResult(_unchecked_subset(h.n, mask), uncut + flow, ci.p)
 
@@ -428,32 +426,6 @@ class HypergraphFlowBlackbox:
         return res
 
 
-def connected_components(h: Hypergraph) -> list[ElementSubset]:
-    """Components ordered by smallest vertex; isolated vertices are singletons."""
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for j, (verts, _) in enumerate(h.edges):
-        for v in verts:
-            incident[v].append(j)
-    seen = [False] * h.n
-    comps = []
-    for start in range(h.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        mask = 0
-        while stack:
-            u = stack.pop()
-            mask |= 1 << u
-            for j in incident[u]:
-                for w in h.edges[j][0]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-        comps.append(ElementSubset(h.n, mask))
-    return comps
-
-
 @dataclass(frozen=True)
 class HypergraphMincutResult:
     """Global min cut plus the blackbox-call and instance-size accounting.
@@ -478,16 +450,21 @@ class HypergraphMincutResult:
 def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> HypergraphMincutResult:
     """Global hypergraph min cut via the randomized driver over flow solves.
 
-    Disconnected inputs short-circuit to value 0 with a component as the
+    Disconnected inputs short-circuit to value 0, with the component of
+    vertex 0 (or its complement, whichever ``canonical_side`` picks) as the
     side.  ``step2_rep_total`` sums the representation sizes of every
     round-2 instance solved; per-trial sums are in the driver's
     ``trial_stats``.
     """
     if h.n < 2:
         raise ValueError("min cut needs at least 2 vertices")
-    comps = connected_components(h)
-    if len(comps) > 1:
-        side = canonical_side(comps[0])
+    # the component of vertex 0, by BFS over the vertex-edge incidence
+    # network: node n + j stands for edge j
+    incidence = [(v, h.n + j, 1, 1) for j, (verts, _) in enumerate(h.edges) for v in verts]
+    level = residual_reachable(h.n + h.m, 0, *build_forward_star(h.n + h.m, incidence))
+    reached = [v for v in range(h.n) if level[v] >= 0]
+    if len(reached) < h.n:
+        side = canonical_side(ElementSubset.of(h.n, reached))
         return HypergraphMincutResult(
             value=0, side=side, n=h.n, m=h.m, p=h.p,
             blackbox_calls=0, flow_solves=0, trials=0, oracle_queries=0,

@@ -235,6 +235,18 @@ class TestIsolate:
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", "١,٢"]).exit_code == 2
         assert runner.invoke(cli.main, ["isolate", path, "--terminals", " 2, 3 "]).exit_code == 0
 
+    @pytest.mark.parametrize("terminals, where, chars", [
+        ("a" * 3000, "--terminals must be comma-separated integers", 3002),
+        ("2," + "9" * 3000, "terminal 999", 3000),
+    ], ids=["not-integers", "outside-range"])
+    def test_long_offending_value_is_cut_short(self, runner, tmp_path, terminals, where, chars):
+        path = write(tmp_path, "star.hgr", STAR)
+        result = runner.invoke(cli.main, ["isolate", path, "--terminals", terminals])
+        assert result.exit_code == 2
+        assert where in result.stderr
+        assert f"... ({chars} chars)" in result.stderr
+        assert len(result.stderr.encode()) < 300
+
     def test_seed_environment_is_ignored(self, runner, tmp_path):
         # nothing in isolate is random, so no seed is read or reported
         path = write(tmp_path, "star.hgr", STAR)
@@ -320,6 +332,17 @@ class TestSfm:
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:1_0"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "concave:٨"]).exit_code == 2
         assert runner.invoke(cli.main, ["sfm", "--demo", "cut:"]).exit_code == 2
+
+    @pytest.mark.parametrize("demo, where", [
+        ("concave:" + "x" * 3000, "concave demo needs an integer size"),
+        ("w" * 3000 + ":4", "unknown demo family"),
+    ], ids=["concave-size", "family"])
+    def test_long_offending_value_is_cut_short(self, runner, demo, where):
+        result = runner.invoke(cli.main, ["sfm", "--demo", demo])
+        assert result.exit_code == 2
+        assert where in result.stderr
+        assert "... (3002 chars)" in result.stderr
+        assert len(result.stderr.encode()) < 300
 
     def test_negative_seed_is_usage_error(self, runner):
         result = runner.invoke(cli.main, ["sfm", "--demo", "concave:6", "--seed", "-1"])

@@ -22,6 +22,7 @@ from isocut import (
     geometric_schedule,
     sample_terminals,
 )
+from isocut.hypergraph import MAX_VERTICES
 
 from conftest import brute_min_nontrivial, philox, random_hypergraph
 
@@ -47,6 +48,8 @@ class TestSchedule:
             assert len(set(ks)) == len(ks)
             assert all(1 <= k <= n for k in ks)
             assert ks[0] == 1
+        ks = geometric_schedule(MAX_VERTICES)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
 class TestConfig:

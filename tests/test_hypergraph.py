@@ -13,9 +13,9 @@ from isocut import (
     HypergraphFlowBlackbox,
     HypergraphParseError,
     TerminalSet,
+    canonical_side,
     check_submodular,
     check_symmetric,
-    connected_components,
     contracted_instance,
     cut_value,
     gen_planted,
@@ -454,15 +454,47 @@ class TestFlowBlackboxMemo:
         assert (a.value, a.side, a.blackbox_calls) == (b.value, b.side, b.blackbox_calls)
 
 
-class TestComponents:
-    def test_isolated_vertices_are_components(self):
-        h = Hypergraph(4, [((0, 1), 1)])
-        comps = connected_components(h)
-        assert [set(c) for c in comps] == [{0, 1}, {2}, {3}]
+def component_of_zero(h):
+    """Vertices joined to 0 by hyperedges, by union-find."""
+    parent = list(range(h.n))
 
-    def test_connected(self):
-        h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
-        assert len(connected_components(h)) == 1
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for verts, _ in h.edges:
+        for v in verts[1:]:
+            parent[find(v)] = find(verts[0])
+    return ElementSubset.of(h.n, [v for v in range(h.n) if find(v) == find(0)])
+
+
+class TestDisconnectedShortcut:
+    @pytest.mark.parametrize("h, side", [
+        (Hypergraph(4, [((1, 2, 3), 1)]), {0}),
+        (Hypergraph(3, []), {0}),
+        (Hypergraph(3, [((0,), 5), ((1, 2), 1)]), {0}),
+        (Hypergraph(5, [((0, 1, 2), 1), ((3, 4), 1)]), {3, 4}),
+    ], ids=["vertex-0-isolated", "edgeless", "rank-1-edge", "larger-component-of-0"])
+    def test_side_is_canonical_component_of_zero(self, h, side):
+        res = hypergraph_mincut(h, DriverConfig(rng_seed=0))
+        assert (res.value, set(res.side)) == (0, side)
+        assert res.blackbox_calls == res.flow_solves == res.trials == 0
+        assert cut_value(h, res.side) == 0
+
+    def test_random_disconnected_inputs(self):
+        rng = philox(53)
+        disconnected = 0
+        for _ in range(60):
+            h = random_hypergraph(rng, n_lo=3, n_hi=9, m_lo=1, m_hi=5)
+            comp = component_of_zero(h)
+            if len(comp) == h.n:
+                continue
+            disconnected += 1
+            res = hypergraph_mincut(h, DriverConfig(rng_seed=0))
+            assert (res.value, res.side, res.trials) == (0, canonical_side(comp), 0)
+        assert disconnected >= 30
 
 
 class TestGlobalMincut:

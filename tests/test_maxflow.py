@@ -1,7 +1,8 @@
 """Max-flow kernel against exhaustive cut enumeration.
 
 Networks are plain ``(node_count, arcs, source, sink)`` data, solved with the
-same three kernel calls the hypergraph blackbox makes.
+same two kernel calls the hypergraph blackbox makes: ``build_forward_star``,
+then ``solve_max_flow``, whose last BFS levels mark the minimal source side.
 """
 
 from isocut import ElementSubset
@@ -19,9 +20,8 @@ def one_way(arcs):
 def kernel_cut(node_count, arcs, source, sink):
     """(flow value, minimal source side, residual capacities) from the kernel."""
     to, cap, head, nxt = build_forward_star(node_count, one_way(arcs))
-    flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
-    reach = residual_reachable(node_count, source, to, cap, head, nxt)
-    return flow, frozenset(i for i in range(node_count) if reach[i] >= 0), cap
+    flow, level = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
+    return flow, frozenset(i for i in range(node_count) if level[i] >= 0), cap
 
 
 def enumerate_min_cut(node_count, arcs, source, sink):
@@ -112,8 +112,10 @@ class TestInfArcs:
             inf_only = [c if c == INF else 0 for c in cap]
             assert residual_reachable(node_count, 0, to, inf_only, head, nxt)[1] < 0
             inf_slots = [a for a, c in enumerate(cap) if c == INF]
-            assert solve_max_flow(node_count, 0, 1, to, cap, head, nxt) < MAX_TOTAL_WEIGHT
+            flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
+            assert flow < MAX_TOTAL_WEIGHT
             assert all(cap[a] > 0 for a in inf_slots)
+            assert level == residual_reachable(node_count, 0, to, cap, head, nxt)
 
 
 class TestAgainstEnumeration:
@@ -124,6 +126,14 @@ class TestAgainstEnumeration:
             flow, side, _ = kernel_cut(*net)
             assert (flow, side) == enumerate_min_cut(*net)
 
+    def test_levels_are_the_final_residual_bfs(self):
+        rng = philox(101)
+        for _ in range(80):
+            node_count, arcs, source, sink = random_network(rng, max_nodes=8)
+            to, cap, head, nxt = build_forward_star(node_count, one_way(arcs))
+            _, level = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
+            assert level == residual_reachable(node_count, source, to, cap, head, nxt)
+
     def test_reverse_capacity_is_the_paired_arc(self):
         # (u, v, c, rc) is the arcs u -> v of capacity c and v -> u of capacity rc
         rng = philox(59)
@@ -131,9 +141,8 @@ class TestAgainstEnumeration:
             node_count, arcs, source, sink = random_network(rng, max_nodes=8)
             pairs = [(u, v, c, int(rng.integers(0, 21))) for u, v, c in arcs]
             to, cap, head, nxt = build_forward_star(node_count, pairs)
-            flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
-            reach = residual_reachable(node_count, source, to, cap, head, nxt)
-            side = frozenset(i for i in range(node_count) if reach[i] >= 0)
+            flow, level = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
+            side = frozenset(i for i in range(node_count) if level[i] >= 0)
             both_ways = [arc for u, v, c, rc in pairs for arc in ((u, v, c), (v, u, rc))]
             assert (flow, side) == enumerate_min_cut(node_count, both_ways, source, sink)
 
@@ -143,7 +152,7 @@ class TestAgainstEnumeration:
             node_count, arcs, source, sink = random_network(rng, max_nodes=7)
             to, cap, head, nxt = build_forward_star(node_count, one_way(arcs))
             orig = cap.copy()
-            flow = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
+            flow, _ = solve_max_flow(node_count, source, sink, to, cap, head, nxt)
             assert flow >= 0
             # per-arc flow = cap decrease on the forward slot
             net_out = [0] * node_count
