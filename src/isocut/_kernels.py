@@ -5,6 +5,13 @@ Dinic phase and returns ``(flow, level)``: ``level`` is the last phase's BFS,
 the one on the final residual that finds the sink unreachable, so its nodes
 at level >= 0 are the minimal source side of a minimum cut.
 
+Each phase's BFS stops as soon as the sink is labelled, at level d say.  By
+then every node below level d has its level, and a node still unlabelled
+would sit at level d or deeper: no shortest augmenting path passes through
+it, so the blocking-flow DFS could only have entered it as a dead end.  The
+flows, the residual capacities and the final ``level`` are the same as with
+full BFS; the final BFS never reaches the sink and so still runs in full.
+
 The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are plain
 lists of ints, indexed one element at a time (indexing a numpy array
 element-wise from Python is several times slower than indexing a list).
@@ -42,7 +49,7 @@ def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> tuple[int, list[int
     """Run Dinic to completion, mutating ``cap`` into the residual; returns ``(flow, level)``."""
     total = 0
     while True:
-        level = residual_reachable(n_nodes, src, to, cap, head, nxt)
+        level = residual_reachable(n_nodes, src, to, cap, head, nxt, dst)
         if level[dst] < 0:
             return total, level
         # blocking flow: iterative DFS with current-arc pointers
@@ -79,8 +86,13 @@ def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> tuple[int, list[int
                 u = to[path[-1]] if path else src
 
 
-def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[int]:
-    """BFS levels from ``src`` over arcs with positive residual; -1 if unreachable."""
+def residual_reachable(n_nodes, src, to, cap, head, nxt, dst=-1) -> list[int]:
+    """BFS levels from ``src`` over arcs with positive residual; -1 if unreachable.
+
+    Returns as soon as ``dst`` is labelled: the nodes below its level are
+    then all labelled, the others are only partly.  The default ``dst`` of -1
+    is no node, so the search runs to the end.
+    """
     level = [-1] * n_nodes
     level[src] = 0
     queue = [src]
@@ -91,6 +103,8 @@ def residual_reachable(n_nodes, src, to, cap, head, nxt) -> list[int]:
             v = to[a]
             if cap[a] > 0 and level[v] < 0:
                 level[v] = d
+                if v == dst:
+                    return level
                 queue.append(v)
             a = nxt[a]
     return level

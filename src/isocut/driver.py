@@ -37,11 +37,16 @@ REPETITION_CONSTANT = 12
 
 
 def geometric_schedule(n: int) -> tuple[int, ...]:
-    """ceil(1.5**i) for i = 0, 1, ... while the value is <= n (strictly increasing)."""
+    """ceil(1.5**i) for i = 1, 2, ... while the value is <= n (strictly increasing).
+
+    k = 1 (i = 0) comes first only when n <= 2: rate 1 samples the whole
+    ground set, and for n > 2 the driver skips every such trial without a
+    blackbox call.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     ks: list[int] = []
-    i = 0
+    i = 0 if n <= 2 else 1
     while True:
         k = -(-(3**i) // (2**i))  # exact ceil(1.5**i)
         if k > n:

@@ -2,9 +2,12 @@
 
 Every s-t query first merges its source side and its sink side into one
 vertex each, local vertices 0 and 1, and solves a max flow from 0 to 1 on
-that contraction.  Each contracted edge of weight ``w`` becomes the smallest
-gadget that costs ``w`` in a minimum cut exactly when the edge crosses the
-vertex bipartition:
+that contraction.  The contraction works on edge bitmasks: an edge's image
+is fixed by its free vertices and by whether it meets either side, so edges
+merge on that key without building a vertex set per edge, and local ids are
+read off the free mask only while the network is built.  Each contracted
+edge of weight ``w`` becomes the smallest gadget that costs ``w`` in a
+minimum cut exactly when the edge crosses the vertex bipartition:
 
 - an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
   to a constant and no arc is built;
@@ -310,12 +313,16 @@ class ContractedInstance:
 
     Local vertex 0 is the image of ``forced_in`` and 1 that of
     ``forced_out``; local vertex ``i + 2`` is the free vertex
-    ``vertex_ids[i]``.  ``edges`` holds sorted local images with their
-    merged weights, and ``p`` is the sum of their sizes.
+    ``vertex_ids[i]``, in ascending order.  Each entry of ``edges`` is
+    ``((free, meets_in, meets_out), w)``: ``free`` is the bitmask, over the
+    original vertex ids, of the edge's free vertices, and the flags say
+    whether the image holds 0 and 1.  Images of fewer than two vertices are
+    dropped and equal images merge by weight, in first-seen order.  ``p`` is
+    the sum of the image sizes.
     """
 
     n: int
-    edges: tuple[tuple[tuple[int, ...], int], ...]
+    edges: tuple[tuple[tuple[int, bool, bool], int], ...]
     vertex_ids: tuple[int, ...]
     p: int
 
@@ -323,29 +330,25 @@ class ContractedInstance:
 def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
     """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
 
-    Images with fewer than two vertices disappear, and duplicate images merge
-    by weight in first-seen order.  Every cut (A, rest) with forced_in inside
-    A and forced_out outside it keeps its value.
+    Every cut (A, rest) with forced_in inside A and forced_out outside it
+    keeps its value.
     """
     _check_terminal_sides(h, forced_in, forced_out)
-    keep = tuple([*(forced_in | forced_out).complement()])  # from a list: see Hypergraph.__init__
-    local = [1] * h.n
-    for u in forced_in:
-        local[u] = 0
-    for i, u in enumerate(keep, 2):
-        local[u] = i
-    merged: dict[tuple[int, ...], int] = {}
-    for verts, w in h.edges:
-        image = {local[u] for u in verts}
-        if len(image) >= 2:
-            key = tuple(sorted(image))
-            merged[key] = merged.get(key, 0) + w
-    return ContractedInstance(
-        n=len(keep) + 2,
-        edges=tuple(merged.items()),
-        vertex_ids=keep,
-        p=sum(len(vs) for vs in merged),
-    )
+    fin, fout = forced_in.mask, forced_out.mask
+    free = ((1 << h.n) - 1) ^ fin ^ fout
+    merged: dict[tuple[int, bool, bool], int] = {}
+    for em, w in h._masks:
+        key = (em & free, em & fin != 0, em & fout != 0)
+        merged[key] = merged.get(key, 0) + w
+    edges = []
+    p = 0
+    for key, w in merged.items():
+        size = key[0].bit_count() + key[1] + key[2]
+        if size >= 2:
+            edges.append((key, w))
+            p += size
+    keep = tuple([*ElementSubset(h.n, free)])  # from a list: see Hypergraph.__init__
+    return ContractedInstance(n=len(keep) + 2, edges=tuple(edges), vertex_ids=keep, p=p)
 
 
 def _split_network(ci: ContractedInstance):
@@ -356,24 +359,36 @@ def _split_network(ci: ContractedInstance):
     ``uncut`` is the weight of the edges holding both 0 and 1, which every
     source side cuts.
     """
+    local = {1 << u: i for i, u in enumerate(ci.vertex_ids, 2)}
     uncut = 0
     arcs = []
     node = ci.n
-    for verts, w in ci.edges:
-        first, second = verts[0], verts[1]  # images are sorted
-        if second == 1:
+    for (free, meets_in, meets_out), w in ci.edges:
+        if meets_in and meets_out:
             uncut += w
+            continue
+        verts = []  # local ids of the free vertices, ascending
+        while free:
+            low = free & -free
+            verts.append(local[low])
+            free ^= low
+        # no capacity into 0 or out of 1
+        if meets_in:
+            if len(verts) == 1:
+                arcs.append((0, verts[0], w, 0))
+            else:
+                arcs.append((0, node, w, 0))
+                arcs += [(node, v, INF, 0) for v in verts]
+                node += 1
+        elif meets_out:
+            if len(verts) == 1:
+                arcs.append((1, verts[0], 0, w))
+            else:
+                arcs.append((node, 1, w, 0))
+                arcs += [(v, node, INF, 0) for v in verts]
+                node += 1
         elif len(verts) == 2:
-            # no capacity into 0 or out of 1
-            arcs.append((first, second, 0 if first == 1 else w, 0 if first == 0 else w))
-        elif first == 0:
-            arcs.append((0, node, w, 0))
-            arcs += [(node, v, INF, 0) for v in verts[1:]]
-            node += 1
-        elif first == 1:
-            arcs.append((node, 1, w, 0))
-            arcs += [(v, node, INF, 0) for v in verts[1:]]
-            node += 1
+            arcs.append((verts[0], verts[1], w, w))
         else:
             arcs.append((node, node + 1, w, 0))
             for v in verts:

@@ -38,7 +38,9 @@ def dumbbell():
 
 class TestSchedule:
     def test_geometric_values(self):
-        assert geometric_schedule(12) == (1, 2, 3, 4, 6, 8, 12)
+        # k = 1 samples the whole ground set, which only n <= 2 can use
+        assert geometric_schedule(12) == (2, 3, 4, 6, 8, 12)
+        assert geometric_schedule(3) == (2, 3)
         assert geometric_schedule(2) == (1, 2)
         assert geometric_schedule(1) == (1,)
 
@@ -47,7 +49,7 @@ class TestSchedule:
             ks = geometric_schedule(n)
             assert len(set(ks)) == len(ks)
             assert all(1 <= k <= n for k in ks)
-            assert ks[0] == 1
+            assert ks[0] == (1 if n <= 2 else 2)
         ks = geometric_schedule(MAX_VERTICES)
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
@@ -171,6 +173,16 @@ class TestSweep:
         res = find_nontrivial_minimizer(f, DriverConfig(rng_seed=0), BruteForceBlackbox())
         assert res.best_value == 4
         assert res.best_set == ElementSubset.of(2, [0])
+
+    def test_trials_per_k_and_no_rate_one_above_two(self):
+        # reps trials at each k of the schedule; k = 1 only when n = 2
+        cfg = DriverConfig(rng_seed=0)
+        res = find_nontrivial_minimizer(CutOracle(dumbbell()), cfg, BruteForceBlackbox())
+        assert [r.k for r in res.per_k_breakdown] == [2, 3, 4, 6]
+        assert res.trials_run == 4 * cfg.resolved_repetitions(6)
+        pair = find_nontrivial_minimizer(CutOracle(Hypergraph(2, [((0, 1), 4)])), cfg, BruteForceBlackbox())
+        assert [r.k for r in pair.per_k_breakdown] == [1, 2]
+        assert pair.trials_run == 2 * cfg.resolved_repetitions(2)
 
     def test_determinism(self):
         f1 = CutOracle(dumbbell())

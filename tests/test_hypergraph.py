@@ -214,19 +214,49 @@ def random_sides(rng, n: int) -> tuple[int, int]:
     return sum(1 << u for u in perm[:k_in]), sum(1 << u for u in perm[k_in:k_in + k_out])
 
 
+def reference_images(h: Hypergraph, in_mask: int, out_mask: int):
+    """(sorted local images with weights, p) by the set rule: each vertex maps
+    to 0 (forced in), 1 (forced out) or its local id, images of fewer than
+    two vertices drop, and equal images merge by weight, first-seen."""
+    free = [u for u in range(h.n) if not (in_mask | out_mask) >> u & 1]
+    local = {u: i for i, u in enumerate(free, 2)}
+    local.update({u: 0 for u in range(h.n) if in_mask >> u & 1})
+    local.update({u: 1 for u in range(h.n) if out_mask >> u & 1})
+    merged = {}
+    for verts, w in h.edges:
+        image = tuple(sorted({local[u] for u in verts}))
+        if len(image) >= 2:
+            merged[image] = merged.get(image, 0) + w
+    return tuple(merged.items()), sum(len(image) for image in merged)
+
+
+def local_images(ci) -> tuple:
+    """``ci.edges`` as sorted local images: 0 and 1 from the flags, then the
+    local ids of the free vertices in the mask."""
+    local = {u: i for i, u in enumerate(ci.vertex_ids, 2)}
+    out = []
+    for (free, meets_in, meets_out), w in ci.edges:
+        image = [0] * meets_in + [1] * meets_out + [local[u] for u in range(free.bit_length()) if free >> u & 1]
+        out.append((tuple(image), w))
+    return tuple(out)
+
+
 class TestContractedInstance:
     def test_path_single_vertex_cell(self):
         h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
         ci = contracted_instance(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [1, 2]))
         assert (ci.n, ci.vertex_ids, ci.p) == (2, (), 2)
-        assert ci.edges == (((0, 1), 1),)  # the b-c edge collapses away
-        assert raw_cut(ci, 0b01) == raw_cut(h, 0b001)
+        assert local_images(ci) == (((0, 1), 1),)  # the b-c edge collapses away
+        assert (local_images(ci), ci.p) == reference_images(h, 0b001, 0b110)
+        assert raw_cut(Hypergraph(ci.n, local_images(ci)), 0b01) == raw_cut(h, 0b001)
 
     def test_big_edge_image(self):
         h = Hypergraph(4, [((0, 1, 2, 3), 2)])
         ci = contracted_instance(h, ElementSubset.of(4, [0]), ElementSubset.of(4, [2, 3]))
-        assert ci.edges == (((0, 1, 2), 2),)
+        assert ci.edges == (((0b0010, True, True), 2),)  # free vertex 1, both sides met
+        assert local_images(ci) == (((0, 1, 2), 2),)
         assert ci.vertex_ids == (1,)
+        assert (local_images(ci), ci.p) == reference_images(h, 0b0001, 0b1100)
 
     def test_merge_order_is_first_seen_and_small_images_drop(self):
         # local 0 = {0, 1}, local 1 = {3, 4}, local 2 = vertex 2
@@ -241,8 +271,9 @@ class TestContractedInstance:
             ((2,), 9),  # rank one: dropped
         ])
         ci = contracted_instance(h, ElementSubset.of(5, [0, 1]), ElementSubset.of(5, [3, 4]))
-        assert ci.edges == (((1, 2), 12), ((0, 2), 7), ((0, 1), 1))
+        assert local_images(ci) == (((1, 2), 12), ((0, 2), 7), ((0, 1), 1))
         assert (ci.n, ci.vertex_ids, ci.p) == (3, (2,), 6)
+        assert (local_images(ci), ci.p) == reference_images(h, 0b00011, 0b11000)
 
     def test_full_cell_rejected(self):
         # no sink side, no source side, overlapping sides, another universe
@@ -259,11 +290,13 @@ class TestContractedInstance:
             h = random_hypergraph(rng, n_lo=3, n_hi=9)
             in_mask, out_mask = random_sides(rng, h.n)
             ci = contracted_instance(h, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
+            assert (local_images(ci), ci.p) == reference_images(h, in_mask, out_mask)
             free = ci.vertex_ids
             assert free == tuple(u for u in range(h.n) if not (in_mask | out_mask) >> u & 1)
+            image = Hypergraph(ci.n, local_images(ci))
             for bits in range(1 << len(free)):
                 orig_mask = in_mask | sum(1 << free[i] for i in range(len(free)) if bits >> i & 1)
-                assert raw_cut(h, orig_mask) == raw_cut(ci, 1 | bits << 2)
+                assert raw_cut(h, orig_mask) == raw_cut(image, 1 | bits << 2)
 
     def test_aggregate_size_over_disjoint_cells(self):
         # cells from actual runs stay within the 4 (p + |R|) budget
@@ -396,7 +429,8 @@ class TestReducedNetwork:
             in_mask, out_mask = random_sides(rng, h.n)
             forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
             ci = contracted_instance(h, forced_in, forced_out)
-            seen.update(edge_class(image) for image, _ in ci.edges)
+            assert (local_images(ci), ci.p) == reference_images(h, in_mask, out_mask)
+            seen.update(edge_class(image) for image, _ in local_images(ci))
             res = _flow_cut(h, forced_in, forced_out)
             value, side = brute_st_cut(h, in_mask, out_mask)
             assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, ci.p)
@@ -537,3 +571,20 @@ class TestGlobalMincut:
     def test_tiny_ground_rejected(self):
         with pytest.raises(ValueError):
             hypergraph_mincut(Hypergraph(1, [((0,), 1)]), DriverConfig())
+
+    # (n, seed, value, side mask, blackbox_calls, flow_solves, step2_rep_total)
+    # of seeded gen_planted runs, recorded from an earlier version of the flow
+    # reduction and the sweep; a faster flow path must not move any of them
+    @pytest.mark.parametrize("n, seed, value, side, calls, solves, rep_total", [
+        (12, 1, 4, 1, 1102, 498, 13926),
+        (12, 2, 2, 256, 1033, 458, 12451),
+        (20, 3, 10, 471849, 2190, 1088, 37156),
+        (20, 4, 10, 146266, 2192, 1077, 37549),
+        (30, 6, 11, 1, 3740, 1745, 78878),
+        (30, 7, 8, 65536, 3679, 1751, 70522),
+    ])
+    def test_golden_runs(self, n, seed, value, side, calls, solves, rep_total):
+        h = gen_planted(n, 3 * n, 3, 10, philox(seed))[0]
+        res = hypergraph_mincut(h, DriverConfig(rng_seed=seed))
+        assert (res.value, res.side.mask, res.blackbox_calls, res.flow_solves, res.step2_rep_total) == (
+            value, side, calls, solves, rep_total)

@@ -5,7 +5,7 @@ same two kernel calls the hypergraph blackbox makes: ``build_forward_star``,
 then ``solve_max_flow``, whose last BFS levels mark the minimal source side.
 """
 
-from isocut import ElementSubset
+from isocut import ElementSubset, _kernels
 from isocut._kernels import INF, build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
 from isocut.hypergraph import MAX_TOTAL_WEIGHT, _split_network, contracted_instance
 
@@ -166,6 +166,66 @@ class TestAgainstEnumeration:
             for node in range(node_count):
                 if node not in (source, sink):
                     assert net_out[node] == 0
+
+
+def split_networks(rng, count):
+    """``(node_count, to, cap, head, nxt)`` reduced networks of random hypergraphs,
+    with forced sides of one vertex or more."""
+    for _ in range(count):
+        h = random_hypergraph(rng, n_lo=3, n_hi=9, max_rank=5)
+        perm = [int(v) for v in rng.permutation(h.n)]
+        k_in = int(rng.integers(1, h.n))
+        k_out = int(rng.integers(1, h.n - k_in + 1))
+        forced_in, forced_out = ElementSubset.of(h.n, perm[:k_in]), ElementSubset.of(h.n, perm[k_in:k_in + k_out])
+        yield _split_network(contracted_instance(h, forced_in, forced_out))[1:]
+
+
+def networks_with_sinks():
+    """``(node_count, source, sink, to, cap, head, nxt)``: the ``philox(101)``
+    random networks, then reduced networks from 0 to 1."""
+    rng = philox(101)
+    for _ in range(80):
+        node_count, arcs, source, sink = random_network(rng, max_nodes=8)
+        yield (node_count, source, sink, *build_forward_star(node_count, one_way(arcs)))
+    for node_count, *star in split_networks(philox(103), 60):
+        yield (node_count, 0, 1, *star)
+
+
+class TestEarlyExit:
+    def test_bfs_stops_with_the_sink_levelled(self):
+        for node_count, source, sink, to, cap, head, nxt in networks_with_sinks():
+            full = residual_reachable(node_count, source, to, cap, head, nxt)
+            early = residual_reachable(node_count, source, to, cap, head, nxt, sink)
+            if full[sink] < 0:
+                assert early == full
+                continue
+            d = full[sink]
+            assert early[sink] == d
+            # below the sink's level every node is labelled as in a full BFS;
+            # at or beyond it, only at the sink's level and only partly
+            for v in range(node_count):
+                if full[v] < d:
+                    assert early[v] == full[v]
+                else:
+                    assert early[v] in (-1, d) and (early[v] < 0 or full[v] == d)
+
+    def test_solve_matches_full_bfs_phases(self, monkeypatch):
+        # flow, final levels and residual capacities are the same when every
+        # Dinic phase runs its BFS to the end
+        nets = list(networks_with_sinks())
+        early = []
+        for node_count, source, sink, to, cap, head, nxt in nets:
+            cap = cap.copy()
+            early.append((solve_max_flow(node_count, source, sink, to, cap, head, nxt), cap))
+        bfs = _kernels.residual_reachable
+
+        def full_bfs(n_nodes, src, to, cap, head, nxt, dst=-1):
+            return bfs(n_nodes, src, to, cap, head, nxt)
+
+        monkeypatch.setattr(_kernels, "residual_reachable", full_bfs)
+        for (node_count, source, sink, to, cap, head, nxt), expected in zip(nets, early):
+            cap = cap.copy()
+            assert (solve_max_flow(node_count, source, sink, to, cap, head, nxt), cap) == expected
 
 
 def test_extend_forward_star_leaves_base_untouched():
