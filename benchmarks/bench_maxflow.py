@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the max-flow kernel: microseconds per solve.
+"""Benchmark the max-flow layer: microseconds per network build and per solve.
 
-Solves a seeded batch of random reduced hypergraph networks
-(``hypergraph._split_network``) with ``solve_max_flow`` from local vertex 0
-to 1, the way the hypergraph blackbox does: its last BFS levels are the
-min-cut side, so no second BFS is timed.  Each network is built from a
-``contracted_instance`` outside the timed region.  The last line is one
-JSON record: the package's backend, the solve count, microseconds per solve,
-the mean node and residual-arc counts per network, and the Python and numpy
-versions.  Run directly:
+Builds a seeded batch of random reduced hypergraph networks with
+``hypergraph._flow_network``, the one-pass builder the hypergraph blackbox
+uses, and solves each with ``solve_max_flow`` from local vertex 0 to 1, the
+way the blackbox does: its last BFS levels are the min-cut side, so no
+second BFS is timed.  Building and solving are timed apart.  The last line
+is one JSON record: the package's backend, the solve count, microseconds
+per build and per solve, the mean node and residual-arc counts per network,
+and the Python and numpy versions.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -25,32 +25,34 @@ import numpy as np
 from isocut import ElementSubset
 from isocut._kernels import BACKEND, solve_max_flow
 from isocut.generate import gen_uniform
-from isocut.hypergraph import _split_network, contracted_instance
+from isocut.hypergraph import _flow_network
 
 
-def make_instances(count: int, rng: np.random.Generator):
-    jobs = []
+def make_queries(count: int, rng: np.random.Generator):
+    """``(h, sources, sinks)`` with one random vertex on each side."""
+    queries = []
     for _ in range(count):
         n = int(rng.integers(8, 30))
         m = int(rng.integers(10, 40))
         h = gen_uniform(n, m, min(5, n), 10, rng)
         picks = rng.choice(n, size=2, replace=False)
-        sources = ElementSubset.of(n, [int(picks[0])])
-        sinks = ElementSubset.of(n, [int(picks[1])])
-        _, node_count, *star = _split_network(contracted_instance(h, sources, sinks))
-        jobs.append((node_count, 0, 1, *star))
-    return jobs
+        queries.append((h, ElementSubset.of(n, [int(picks[0])]), ElementSubset.of(n, [int(picks[1])])))
+    return queries
 
 
-def run(jobs) -> float:
+def build(queries):
+    """``(networks, us_per_build)``; each network is ``(node_count, to, cap, head, nxt)``."""
     start = time.perf_counter()
-    for node_count, s, t, to, cap, head, nxt in jobs:
-        residual = cap.copy()
-        solve_max_flow(node_count, s, t, to, residual, head, nxt)
-    elapsed = time.perf_counter() - start
-    per_solve = elapsed / len(jobs) * 1e6
-    print(f"{BACKEND:>8}: {elapsed:8.3f} s total   {per_solve:9.1f} us/solve")
-    return per_solve
+    networks = [_flow_network(h, sources, sinks)[3:] for h, sources, sinks in queries]
+    return networks, (time.perf_counter() - start) / len(queries) * 1e6
+
+
+def solve(networks) -> float:
+    """Solve every network once, consuming its capacities; microseconds per solve."""
+    start = time.perf_counter()
+    for node_count, to, cap, head, nxt in networks:
+        solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
+    return (time.perf_counter() - start) / len(networks) * 1e6
 
 
 def main() -> None:
@@ -62,15 +64,17 @@ def main() -> None:
         parser.error("--solves must be >= 1")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    jobs = make_instances(args.solves, rng)
-    nodes_per_solve = sum(job[0] for job in jobs) / len(jobs)
-    arcs_per_solve = sum(len(job[3]) for job in jobs) / len(jobs)
+    networks, us_per_build = build(make_queries(args.solves, rng))
+    nodes_per_solve = sum(net[0] for net in networks) / len(networks)
+    arcs_per_solve = sum(len(net[1]) for net in networks) / len(networks)
     print(f"{args.solves} reduced networks, {nodes_per_solve:.1f} nodes and {arcs_per_solve:.1f} arcs on average\n")
 
-    us_per_solve = run(jobs)
+    us_per_solve = solve(networks)
+    print(f"{BACKEND:>8}: {us_per_build:9.1f} us/build   {us_per_solve:9.1f} us/solve")
     print(json.dumps({
         "backend": BACKEND,
         "solves": args.solves,
+        "us_per_build": us_per_build,
         "us_per_solve": us_per_solve,
         "nodes_per_solve": nodes_per_solve,
         "arcs_per_solve": arcs_per_solve,

@@ -18,7 +18,12 @@ element-wise from Python is several times slower than indexing a list).
 
 Arc layout: arcs come in pairs, arc ``a`` and ``a ^ 1`` are mutual reverses.
 Adjacency is a forward-star: ``head[v]`` is the first arc out of ``v`` and
-``nxt[a]`` chains to the next one, -1 terminating.
+``nxt[a]`` chains to the next one, -1 terminating.  An arc may be left out
+of every chain and still hold its slot, so that ``cap[a ^ 1]`` of its pair
+is there to take back flow: the hypergraph networks leave out every arc
+into the source.  No search needs them: the source sits at level 0, and
+both BFS and the blocking flow only follow arcs into an unlabelled node or
+one level up.
 
 ``INF`` is an ordinary capacity, large enough never to saturate: a
 ``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60, so

@@ -33,7 +33,7 @@ from .hypergraph import (
     serialize_hypergraph,
 )
 from .isolating import TerminalSet, isolating_sets
-from .sfm import DEFAULT_BRUTEFORCE_CAP, BruteForceBlackbox, bruteforce_nontrivial_min
+from .sfm import BruteForceBlackbox, bruteforce_nontrivial_min
 
 VERIFY_CAP = 14
 # seeds feed numpy's SeedSequence and the driver's 64-bit rng_seed
@@ -272,11 +272,12 @@ def sfm(demo, seed, reps, as_json):
         label = f"concave:{n}"
     else:
         raise click.UsageError(f"unknown demo family {_echo(family)} (use cut:<file> or concave:<n>)")
-    # every blackbox call forces at least one element in and one out
-    if oracle.ground.n - 2 > DEFAULT_BRUTEFORCE_CAP:
+    # each brute-force blackbox call enumerates up to 2^(n-2) sets, over
+    # thousands of calls: past the --verify guard a demo takes minutes or more
+    if oracle.ground.n > VERIFY_CAP:
         raise click.UsageError(
-            f"sfm demo needs n <= {DEFAULT_BRUTEFORCE_CAP + 2}: the brute-force blackbox "
-            f"is capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got n={oracle.ground.n}"
+            f"sfm demo needs n <= {VERIFY_CAP}, the brute-force guard of mincut --verify, "
+            f"got n={oracle.ground.n}"
         )
 
     cfg = DriverConfig(rng_seed=seed, repetitions_per_k=reps)

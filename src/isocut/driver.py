@@ -80,9 +80,8 @@ def sample_terminals(n: int, k: int, rng: np.random.Generator) -> ElementSubset:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     hits = rng.integers(0, k, size=n) == 0
-    mask = 0
-    for i in np.flatnonzero(hits):
-        mask |= 1 << int(i)
+    # element i is bit i: little-endian bits, then little-endian bytes
+    mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
     return ElementSubset(n, mask)
 
 

@@ -1,13 +1,15 @@
 """Weighted hypergraphs: cut oracle, file formats, and flow-backed min-cut.
 
-Every s-t query first merges its source side and its sink side into one
-vertex each, local vertices 0 and 1, and solves a max flow from 0 to 1 on
-that contraction.  The contraction works on edge bitmasks: an edge's image
-is fixed by its free vertices and by whether it meets either side, so edges
-merge on that key without building a vertex set per edge, and local ids are
-read off the free mask only while the network is built.  Each contracted
-edge of weight ``w`` becomes the smallest gadget that costs ``w`` in a
-minimum cut exactly when the edge crosses the vertex bipartition:
+Every s-t query merges its source side and its sink side into one vertex
+each, local vertices 0 and 1, and solves a max flow from 0 to 1 on that
+contraction.  ``_flow_network`` builds the query's network in one pass: it
+validates the sides once, reads each edge bitmask once and merges edges on
+one int key, the edge's free vertices shifted left by two plus a bit each
+for meeting either side.  It then writes the forward-star lists directly,
+gadget by gadget, counting the representation size and the uncuttable
+weight as it goes; no contracted instance or arc list is built in between.
+Each contracted edge of weight ``w`` becomes the smallest gadget that costs
+``w`` in a minimum cut exactly when the edge crosses the vertex bipartition:
 
 - an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
   to a constant and no arc is built;
@@ -21,8 +23,11 @@ minimum cut exactly when the edge crosses the vertex bipartition:
   arcs from each vertex to the in-node and from the out-node to each vertex.
 
 Arcs into 0 and out of 1 carry no capacity: no flow and no source-side
-reachability can use them.  A rank-r hyperedge contributes O(r) to the
-network, keeping the reduction linear in the representation size p.
+reachability can use them.  An arc into 0 keeps its slot, as the pair of the
+arc out of 0 whose flow it records, but is linked into no adjacency chain,
+so neither BFS nor the blocking flow scans it.  A rank-r hyperedge
+contributes O(r) to the network, keeping the reduction linear in the
+representation size p.
 """
 
 from __future__ import annotations
@@ -327,87 +332,163 @@ class ContractedInstance:
     p: int
 
 
-def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
-    """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
+def _images(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> tuple[int, dict[int, int]]:
+    """``(free, images)``: the mask of the free vertices, and each edge's
+    contracted image merged by weight, in first-seen order.
 
-    Every cut (A, rest) with forced_in inside A and forced_out outside it
-    keeps its value.
+    An image's key is ``part << 2 | meets_in << 1 | meets_out``: ``part`` is
+    the bitmask, over the original ids, of the edge's free vertices, and the
+    flags say whether the image holds local 0 and 1.  Images of fewer than
+    two vertices are kept here; callers skip them.
     """
     _check_terminal_sides(h, forced_in, forced_out)
     fin, fout = forced_in.mask, forced_out.mask
     free = ((1 << h.n) - 1) ^ fin ^ fout
-    merged: dict[tuple[int, bool, bool], int] = {}
+    images: dict[int, int] = {}
     for em, w in h._masks:
-        key = (em & free, em & fin != 0, em & fout != 0)
-        merged[key] = merged.get(key, 0) + w
+        key = (em & free) << 2 | (em & fin and 2) | (em & fout and 1)
+        images[key] = images.get(key, 0) + w
+    return free, images
+
+
+def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
+    """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
+
+    Every cut (A, rest) with forced_in inside A and forced_out outside it
+    keeps its value.  The flow blackbox builds its network straight from the
+    same images (``_flow_network``) and does not call this.
+    """
+    free, images = _images(h, forced_in, forced_out)
     edges = []
     p = 0
-    for key, w in merged.items():
-        size = key[0].bit_count() + key[1] + key[2]
+    for key, w in images.items():
+        size = key.bit_count()  # free vertices plus one per flag
         if size >= 2:
-            edges.append((key, w))
+            edges.append(((key >> 2, bool(key & 2), bool(key & 1)), w))
             p += size
     keep = tuple([*ElementSubset(h.n, free)])  # from a list: see Hypergraph.__init__
     return ContractedInstance(n=len(keep) + 2, edges=tuple(edges), vertex_ids=keep, p=p)
 
 
-def _split_network(ci: ContractedInstance):
-    """Reduced flow network of ``ci``: ``(uncut, node_count, to, cap, head, nxt)``.
+def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset):
+    """Reduced flow network of the contraction, in one pass over its images.
 
-    Nodes 0..n-1 are the local vertices, then one node per gadget on a
-    terminal and an in/out pair per split gadget (see the module docstring).
-    ``uncut`` is the weight of the edges holding both 0 and 1, which every
-    source side cuts.
+    Returns ``(uncut, p, local, node_count, to, cap, head, nxt)``.  Nodes 0
+    and 1 are the forced sides, and ``local`` maps each free vertex ``u``,
+    keyed by its bit ``1 << u``, to its node: 2, 3, ... in ascending order
+    of ``u``.  Then come one node per gadget on a terminal and an in/out
+    pair per split gadget (see the module docstring), in image order.
+    ``uncut`` is the weight of the images holding both 0 and 1, which every
+    source side cuts, and ``p`` is the sum of the image sizes.  Arc pairs
+    are laid out as ``build_forward_star`` would pack the gadgets' arcs,
+    except that an arc into 0 is linked into no adjacency chain.
     """
-    local = {1 << u: i for i, u in enumerate(ci.vertex_ids, 2)}
-    uncut = 0
-    arcs = []
-    node = ci.n
-    for (free, meets_in, meets_out), w in ci.edges:
-        if meets_in and meets_out:
+    free, images = _images(h, forced_in, forced_out)
+    local = {}
+    i = 2
+    while free:
+        low = free & -free
+        free ^= low
+        local[low] = i
+        i += 1
+    head = [-1] * i
+    to: list[int] = []
+    cap: list[int] = []
+    nxt: list[int] = []
+    a = 0  # the next arc; its pair is a + 1
+    uncut = p = 0
+    for key, w in images.items():
+        part = key >> 2
+        size = key.bit_count()  # free vertices plus one per flag
+        if size < 2:
+            continue
+        p += size
+        if key & 3 == 3:
             uncut += w
             continue
-        verts = []  # local ids of the free vertices, ascending
-        while free:
-            low = free & -free
-            verts.append(local[low])
-            free ^= low
-        # no capacity into 0 or out of 1
-        if meets_in:
-            if len(verts) == 1:
-                arcs.append((0, verts[0], w, 0))
-            else:
-                arcs.append((0, node, w, 0))
-                arcs += [(node, v, INF, 0) for v in verts]
-                node += 1
-        elif meets_out:
-            if len(verts) == 1:
-                arcs.append((1, verts[0], 0, w))
-            else:
-                arcs.append((node, 1, w, 0))
-                arcs += [(v, node, INF, 0) for v in verts]
-                node += 1
-        elif len(verts) == 2:
-            arcs.append((verts[0], verts[1], w, w))
-        else:
-            arcs.append((node, node + 1, w, 0))
-            for v in verts:
-                arcs.append((v, node, INF, 0))
-                arcs.append((node + 1, v, INF, 0))
-            node += 2
-    return (uncut, node, *build_forward_star(node, arcs))
+        if size == 2:  # one arc pair
+            if key & 2:  # 0 -> v of weight w; v -> 0 is in no chain
+                to += (local[part], 0)
+                cap += (w, 0)
+                nxt += (head[0], -1)
+                head[0] = a
+            else:  # u -> v of capacity c, v -> u of rc
+                if key & 1:
+                    u, v, c, rc = 1, local[part], 0, w
+                else:
+                    low = part & -part
+                    u, v, c, rc = local[low], local[part ^ low], w, w
+                to += (v, u)
+                cap += (c, rc)
+                nxt += (head[u], head[v])
+                head[u] = a
+                head[v] = a + 1
+            a += 2
+            continue
+        e = len(head)
+        if key & 2:  # 0 -> e of weight w (e -> 0 in no chain), then e -> v uncuttable
+            head.append(-1)
+            to += (e, 0)
+            cap += (w, 0)
+            nxt += (head[0], -1)
+            head[0] = a
+            a += 2
+            while part:
+                low = part & -part
+                part ^= low
+                v = local[low]
+                to += (v, e)
+                cap += (INF, 0)
+                nxt += (head[e], head[v])
+                head[e] = a
+                head[v] = a + 1
+                a += 2
+        elif key & 1:  # v -> e uncuttable, then e -> 1 of weight w
+            head.append(a)
+            to += (1, e)
+            cap += (w, 0)
+            nxt += (-1, head[1])
+            head[1] = a + 1
+            a += 2
+            while part:
+                low = part & -part
+                part ^= low
+                v = local[low]
+                to += (e, v)
+                cap += (INF, 0)
+                nxt += (head[v], head[e])
+                head[v] = a
+                head[e] = a + 1
+                a += 2
+        else:  # split gadget: v -> e uncuttable, e -> e + 1 of weight w, e + 1 -> v uncuttable
+            head += (a, a + 1)
+            to += (e + 1, e)
+            cap += (w, 0)
+            nxt += (-1, -1)
+            a += 2
+            while part:
+                low = part & -part
+                part ^= low
+                v = local[low]
+                to += (e, v, v, e + 1)
+                cap += (INF, 0, INF, 0)
+                nxt += (head[v], head[e], head[e + 1], a)
+                head[e] = a + 1
+                head[e + 1] = a + 2
+                head[v] = a + 3
+                a += 4
+    return uncut, p, local, len(head), to, cap, head, nxt
 
 
 def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:
     """Minimal minimizer over the free vertices, by max flow from 0 to 1."""
-    ci = contracted_instance(h, forced_in, forced_out)
-    uncut, node_count, to, cap, head, nxt = _split_network(ci)
+    uncut, p, local, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
     flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
     mask = 0
-    for i, u in enumerate(ci.vertex_ids, 2):
+    for bit, i in local.items():
         if level[i] >= 0:
-            mask |= 1 << u
-    return SfmResult(_unchecked_subset(h.n, mask), uncut + flow, ci.p)
+            mask |= bit
+    return SfmResult(_unchecked_subset(h.n, mask), uncut + flow, p)
 
 
 class HypergraphFlowBlackbox:

@@ -132,8 +132,8 @@ def test_criterion_4_containment(isolating_sweep):
 
 
 def test_criterion_5_flow_engine():
-    # kernel_cut makes the blackbox's own kernel calls: build_forward_star,
-    # then solve_max_flow, whose last BFS levels give the side
+    # kernel_cut packs each network with build_forward_star and solves it with
+    # the blackbox's kernel, solve_max_flow, whose last BFS levels give the side
     from test_maxflow import enumerate_min_cut, kernel_cut, random_network
 
     rng = philox(512)

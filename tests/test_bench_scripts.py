@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("script, args, keys", [
-    ("bench_maxflow.py", ["--solves", "5"], {"backend", "solves", "us_per_solve", "nodes_per_solve", "arcs_per_solve", "python", "numpy"}),
+    ("bench_maxflow.py", ["--solves", "5"], {"backend", "solves", "us_per_build", "us_per_solve", "nodes_per_solve", "arcs_per_solve", "python", "numpy"}),
     ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "python", "numpy"}),
 ])
 def test_tiny_run_ends_with_strict_json_record(script, args, keys):
@@ -32,4 +32,5 @@ def test_tiny_run_ends_with_strict_json_record(script, args, keys):
     assert set(record) == keys
     if script == "bench_maxflow.py":
         assert record["solves"] == 5
-        assert isinstance(record["us_per_solve"], float) and record["us_per_solve"] > 0
+        for key in ("us_per_build", "us_per_solve"):
+            assert isinstance(record[key], float) and record[key] > 0

@@ -367,11 +367,18 @@ class TestSfm:
         self.assert_cut_demo_exits_1(runner, str(tmp_path), "Is a directory")
 
     def test_oversized_demo_rejected_before_running(self, runner, tmp_path):
-        path = write(tmp_path, "path27.hgr", "26 27\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 27)))
-        for demo in ("concave:27", f"cut:{path}"):
-            result = runner.invoke(cli.main, ["sfm", "--demo", demo])
-            assert result.exit_code == 2, demo
-            assert "capped at 24 free elements" in result.stderr
+        # past n = 14 a brute-force demo runs for seconds to hours
+        for n in (15, 27):
+            path = write(tmp_path, f"path{n}.hgr", f"{n - 1} {n}\n" + "".join(f"{v} {v + 1}\n" for v in range(1, n)))
+            for demo in (f"concave:{n}", f"cut:{path}"):
+                result = runner.invoke(cli.main, ["sfm", "--demo", demo])
+                assert result.exit_code == 2, demo
+                assert f"sfm demo needs n <= 14, the brute-force guard of mincut --verify, got n={n}" in result.stderr
+
+    def test_largest_demo_runs(self, runner):
+        result = runner.invoke(cli.main, ["sfm", "--demo", "concave:14", "--reps", "1", "--seed", "0"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["value"] == 1
 
 
 class TestIntegerOptions:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from isocut import (
@@ -94,6 +95,21 @@ class TestSampling:
             if sum(1 for v in sample if v in planted) == 1:
                 hits += 1
         assert abs(hits / trials - (2 / 3) * math.exp(-2 / 3)) <= 0.05
+
+    def test_mask_is_the_hit_loop_mask(self):
+        # the bit-packed mask equals one OR per hit on the same draws, past
+        # 64 elements and at sizes that are not a multiple of 8
+        for seed in (0, 1, 9):
+            for n in range(1, 201):
+                for k in {1, 2, 3, 7, n}:
+                    if k > n:
+                        continue
+                    ours, ref = philox(seed * 1000 + n), philox(seed * 1000 + n)
+                    hits = ref.integers(0, k, size=n) == 0
+                    mask = 0
+                    for i in np.flatnonzero(hits):
+                        mask |= 1 << int(i)
+                    assert sample_terminals(n, k, ours) == ElementSubset(n, mask)
 
     def test_bad_k_rejected(self):
         rng = philox(4)

@@ -27,7 +27,8 @@ from isocut import (
     serialize_hypergraph,
     st_mincut,
 )
-from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, _flow_cut, _split_network
+from isocut._kernels import INF, build_forward_star, solve_max_flow
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, _flow_cut, _flow_network
 
 from conftest import brute_min_nontrivial, brute_st_cut, philox, random_hypergraph, raw_cut
 
@@ -410,8 +411,8 @@ class TestReducedNetwork:
         ])
         forced_in, forced_out = ElementSubset.of(8, [0, 1]), ElementSubset.of(8, [6, 7])
         ci = contracted_instance(h, forced_in, forced_out)
-        uncut, node_count, to, cap, head, nxt = _split_network(ci)
-        assert uncut == 2 * w - 1
+        uncut, p, _, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
+        assert (uncut, p) == (2 * w - 1, ci.p)
         assert node_count == ci.n + 1 + 1 + 2
         # one arc pair per two-vertex image, one per vertex of a one-node
         # gadget, 2r + 1 per split gadget
@@ -435,6 +436,78 @@ class TestReducedNetwork:
             value, side = brute_st_cut(h, in_mask, out_mask)
             assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, ci.p)
         assert len(seen) == 7
+
+    def test_network_matches_a_reference_packing(self):
+        # the one-pass builder against the gadget rules packed with
+        # build_forward_star (every arc linked), and against enumeration
+        rng = philox(53)
+        seen = set()
+        for _ in range(150):
+            h = random_hypergraph(rng, n_lo=3, n_hi=10, max_rank=5, max_weight=self.WEIGHT)
+            in_mask, out_mask = random_sides(rng, h.n)
+            forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
+            ci = contracted_instance(h, forced_in, forced_out)
+            seen.update(edge_class(image) for image, _ in local_images(ci))
+            uncut, p, local, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
+            assert list(local) == [1 << u for u in ci.vertex_ids]
+            assert list(local.values()) == list(range(2, ci.n))
+            ref_uncut, ref_count, arcs = reference_network(ci)
+            assert (uncut, p, node_count) == (ref_uncut, ci.p, ref_count)
+            ref = build_forward_star(ref_count, arcs)
+            assert arc_slots(to, cap) == arc_slots(*ref[:2])
+            flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
+            ref_flow, ref_level = solve_max_flow(ref_count, 0, 1, *ref)
+            side = sum(bit for bit, i in local.items() if level[i] >= 0)
+            ref_side = sum(1 << u for i, u in enumerate(ci.vertex_ids, 2) if ref_level[i] >= 0)
+            value, brute_side = brute_st_cut(h, in_mask, out_mask)
+            assert (uncut + flow, side) == (ref_uncut + ref_flow, ref_side) == (value, brute_side & ~in_mask)
+        assert len(seen) == 7
+
+    def test_no_chain_reaches_an_arc_into_the_source(self):
+        # every arc not into node 0 sits in its tail's chain exactly once;
+        # arcs into node 0 sit in none
+        rng = philox(61)
+        for _ in range(150):
+            h = random_hypergraph(rng, n_lo=3, n_hi=10, max_rank=5)
+            in_mask, out_mask = random_sides(rng, h.n)
+            *_, node_count, to, cap, head, nxt = _flow_network(h, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
+            chained = []
+            for v in range(node_count):
+                a = head[v]
+                while a != -1:
+                    assert to[a ^ 1] == v and to[a] != 0
+                    chained.append(a)
+                    a = nxt[a]
+            assert sorted(chained) == [a for a in range(len(to)) if to[a] != 0]
+
+
+def arc_slots(to, cap) -> list[tuple[int, int, int]]:
+    """Sorted ``(tail, head, capacity)`` of every arc slot; arc ``a``'s tail
+    is the head of its pair ``a ^ 1``."""
+    return sorted((to[a ^ 1], to[a], cap[a]) for a in range(len(to)))
+
+
+def reference_network(ci):
+    """``(uncut, node_count, arcs)`` of ``ci``'s reduced network, written from
+    the gadget rules on sorted local images, as ``(u, v, c, rc)`` quadruples."""
+    uncut, node, arcs = 0, ci.n, []
+    for image, w in local_images(ci):
+        kind = edge_class(image)
+        if kind == "both terminals":
+            uncut += w
+        elif len(image) == 2:  # no capacity into 0 or out of 1
+            u, v = image
+            arcs.append((u, v, 0 if u == 1 else w, 0 if u == 0 else w))
+        elif kind == "source node":
+            arcs += [(0, node, w, 0)] + [(node, v, INF, 0) for v in image[1:]]
+            node += 1
+        elif kind == "sink node":
+            arcs += [(node, 1, w, 0)] + [(v, node, INF, 0) for v in image[1:]]
+            node += 1
+        else:
+            arcs += [(node, node + 1, w, 0)] + [arc for v in image for arc in ((v, node, INF, 0), (node + 1, v, INF, 0))]
+            node += 2
+    return uncut, node, arcs
 
 
 @pytest.fixture

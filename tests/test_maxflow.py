@@ -1,13 +1,14 @@
 """Max-flow kernel against exhaustive cut enumeration.
 
-Networks are plain ``(node_count, arcs, source, sink)`` data, solved with the
-same two kernel calls the hypergraph blackbox makes: ``build_forward_star``,
-then ``solve_max_flow``, whose last BFS levels mark the minimal source side.
+Networks are plain ``(node_count, arcs, source, sink)`` data, packed with
+``build_forward_star`` and solved with ``solve_max_flow``, whose last BFS
+levels mark the minimal source side.  Reduced hypergraph networks come from
+``hypergraph._flow_network``, which writes the same lists itself.
 """
 
 from isocut import ElementSubset, _kernels
 from isocut._kernels import INF, build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
-from isocut.hypergraph import MAX_TOTAL_WEIGHT, _split_network, contracted_instance
+from isocut.hypergraph import MAX_TOTAL_WEIGHT, _flow_network
 
 from conftest import philox, random_hypergraph
 
@@ -108,7 +109,7 @@ class TestInfArcs:
             h = random_hypergraph(rng, n_lo=3, n_hi=9, max_rank=5, max_weight=MAX_TOTAL_WEIGHT >> 5)
             picks = rng.choice(h.n, size=2, replace=False)
             forced_in, forced_out = (ElementSubset.of(h.n, [int(v)]) for v in picks)
-            _, node_count, to, cap, head, nxt = _split_network(contracted_instance(h, forced_in, forced_out))
+            node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)[3:]
             inf_only = [c if c == INF else 0 for c in cap]
             assert residual_reachable(node_count, 0, to, inf_only, head, nxt)[1] < 0
             inf_slots = [a for a, c in enumerate(cap) if c == INF]
@@ -177,7 +178,7 @@ def split_networks(rng, count):
         k_in = int(rng.integers(1, h.n))
         k_out = int(rng.integers(1, h.n - k_in + 1))
         forced_in, forced_out = ElementSubset.of(h.n, perm[:k_in]), ElementSubset.of(h.n, perm[k_in:k_in + k_out])
-        yield _split_network(contracted_instance(h, forced_in, forced_out))[1:]
+        yield _flow_network(h, forced_in, forced_out)[3:]
 
 
 def networks_with_sinks():
