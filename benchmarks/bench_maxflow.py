@@ -2,8 +2,9 @@
 """Benchmark the max-flow layer: microseconds per network build and per solve.
 
 Builds a seeded batch of random reduced hypergraph networks with
-``hypergraph._flow_network``, the one-pass builder the hypergraph blackbox
-uses, and solves each with ``solve_max_flow`` from local vertex 0 to 1, the
+``hypergraph._flow_network``, the builder the hypergraph blackbox uses (arc
+pairs from one gadget rule, then every adjacency chain linked in one loop),
+and solves each with ``solve_max_flow`` from local vertex 0 to 1, the
 way the blackbox does: its last BFS levels are the min-cut side, so no
 second BFS is timed.  Building and solving are timed apart.  The last line
 is one JSON record: the package's backend, the solve count, microseconds

@@ -28,9 +28,8 @@ one level up.
 ``INF`` is an ordinary capacity, large enough never to saturate: a
 ``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60, so
 no flow reaches 2^60, and every source-sink path of a reduced hypergraph
-network crosses a finite edge arc.  The first arc out of the source is
-finite, or it is an ``INF`` arc into the in-node of a split gadget, whose
-only arc out is the edge's finite in-out arc.
+network crosses a finite edge arc: every arc out of the source is the
+weight arc of an edge holding it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ on the unlucky runs where it is not the minimum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,6 +65,10 @@ class DriverConfig:
     repetitions_per_k: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # integers only, as in Hypergraph; frozen, so stored past __setattr__
+        object.__setattr__(self, "rng_seed", operator.index(self.rng_seed))
+        if self.repetitions_per_k is not None:
+            object.__setattr__(self, "repetitions_per_k", operator.index(self.repetitions_per_k))
         if not 0 <= self.rng_seed < (1 << 64):
             raise ValueError("rng_seed must fit in 64 bits")
         if self.repetitions_per_k is not None and self.repetitions_per_k < 1:

@@ -2,25 +2,24 @@
 
 Every s-t query merges its source side and its sink side into one vertex
 each, local vertices 0 and 1, and solves a max flow from 0 to 1 on that
-contraction.  ``_flow_network`` builds the query's network in one pass: it
-validates the sides once, reads each edge bitmask once and merges edges on
-one int key, the edge's free vertices shifted left by two plus a bit each
-for meeting either side.  It then writes the forward-star lists directly,
-gadget by gadget, counting the representation size and the uncuttable
-weight as it goes; no contracted instance or arc list is built in between.
-Each contracted edge of weight ``w`` becomes the smallest gadget that costs
-``w`` in a minimum cut exactly when the edge crosses the vertex bipartition:
+contraction.  ``_flow_network`` builds the query's network straight from the
+edge bitmasks: it validates the sides once, reads each edge bitmask once and
+merges edges on one int key, the edge's free vertices shifted left by two
+plus a bit each for meeting either side; no contracted instance or arc list
+is built in between.  Each contracted edge of weight ``w`` becomes the
+smallest gadget that costs ``w`` in a minimum cut exactly when the edge
+crosses the vertex bipartition:
 
 - an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
   to a constant and no arc is built;
-- any other two-vertex edge ``{u, v}`` is one arc pair, ``w`` each way;
-- an edge holding 0 and at least two free vertices is one node ``e``, with
-  ``0 -> e`` of capacity ``w`` and ``e -> v`` uncuttable for each free ``v``;
-- an edge holding 1 and at least two free vertices is one node ``e``, with
-  ``v -> e`` uncuttable and ``e -> 1`` of capacity ``w``;
-- any other edge is the split-vertex gadget (Lawler, Networks 1973): an
-  in-node and an out-node joined by an arc of weight ``w``, with uncuttable
-  arcs from each vertex to the in-node and from the out-node to each vertex.
+- an edge of two vertices is one arc pair: ``0 -> v`` or ``v -> 1`` of
+  capacity ``w``, or ``u <-> v`` of ``w`` each way;
+- any larger edge is one weight arc ``a -> b`` of capacity ``w``.  ``a`` is
+  0 if the edge holds 0 and otherwise a new in-node, with an uncuttable
+  arc ``v -> a`` from each free ``v``; ``b`` is 1 if the edge holds 1 and
+  otherwise a new out-node, with an uncuttable arc ``b -> v`` to each free
+  ``v``.  With both nodes new this is the split-vertex gadget (Lawler,
+  Networks 1973).
 
 Arcs into 0 and out of 1 carry no capacity: no flow and no source-side
 reachability can use them.  An arc into 0 keeps its slot, as the pair of the
@@ -371,31 +370,30 @@ def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: Ele
 
 
 def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset):
-    """Reduced flow network of the contraction, in one pass over its images.
+    """Reduced flow network of the contraction, built from its images.
 
     Returns ``(uncut, p, local, node_count, to, cap, head, nxt)``.  Nodes 0
     and 1 are the forced sides, and ``local`` maps each free vertex ``u``,
     keyed by its bit ``1 << u``, to its node: 2, 3, ... in ascending order
-    of ``u``.  Then come one node per gadget on a terminal and an in/out
-    pair per split gadget (see the module docstring), in image order.
-    ``uncut`` is the weight of the images holding both 0 and 1, which every
-    source side cuts, and ``p`` is the sum of the image sizes.  Arc pairs
-    are laid out as ``build_forward_star`` would pack the gadgets' arcs,
-    except that an arc into 0 is linked into no adjacency chain.
+    of ``u``.  Then come the new in- and out-nodes of the gadgets (see the
+    module docstring), in image order.  ``uncut`` is the weight of the
+    images holding both 0 and 1, which every source side cuts, and ``p`` is
+    the sum of the image sizes.  Each gadget first writes its arc pairs,
+    ``to`` and ``cap`` only; one loop then links every arc into its tail's
+    chain, in slot order, except the arcs into 0.
     """
     free, images = _images(h, forced_in, forced_out)
     local = {}
-    i = 2
+    node_count = 2
     while free:
         low = free & -free
         free ^= low
-        local[low] = i
-        i += 1
-    head = [-1] * i
+        local[low] = node_count
+        node_count += 1
+    # arcs come in pairs: x (even) runs from to[x + 1] to to[x] with capacity
+    # cap[x], and x + 1 is its reverse
     to: list[int] = []
     cap: list[int] = []
-    nxt: list[int] = []
-    a = 0  # the next arc; its pair is a + 1
     uncut = p = 0
     for key, w in images.items():
         part = key >> 2
@@ -405,79 +403,49 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
         p += size
         if key & 3 == 3:
             uncut += w
-            continue
-        if size == 2:  # one arc pair
-            if key & 2:  # 0 -> v of weight w; v -> 0 is in no chain
+        elif size == 2:
+            if key & 2:  # 0 -> v
                 to += (local[part], 0)
                 cap += (w, 0)
-                nxt += (head[0], -1)
-                head[0] = a
-            else:  # u -> v of capacity c, v -> u of rc
-                if key & 1:
-                    u, v, c, rc = 1, local[part], 0, w
-                else:
-                    low = part & -part
-                    u, v, c, rc = local[low], local[part ^ low], w, w
-                to += (v, u)
-                cap += (c, rc)
-                nxt += (head[u], head[v])
-                head[u] = a
-                head[v] = a + 1
-            a += 2
-            continue
-        e = len(head)
-        if key & 2:  # 0 -> e of weight w (e -> 0 in no chain), then e -> v uncuttable
-            head.append(-1)
-            to += (e, 0)
+            elif key & 1:  # v -> 1
+                to += (1, local[part])
+                cap += (w, 0)
+            else:  # u <-> v
+                low = part & -part
+                to += (local[part ^ low], local[low])
+                cap += (w, w)
+        else:  # weight arc a -> b: a is 0 or a new in-node, b is 1 or a new out-node
+            a = 0
+            if not key & 2:
+                a = node_count
+                node_count += 1
+            b = 1
+            if not key & 1:
+                b = node_count
+                node_count += 1
+            to += (b, a)
             cap += (w, 0)
-            nxt += (head[0], -1)
-            head[0] = a
-            a += 2
             while part:
                 low = part & -part
                 part ^= low
                 v = local[low]
-                to += (v, e)
-                cap += (INF, 0)
-                nxt += (head[e], head[v])
-                head[e] = a
-                head[v] = a + 1
-                a += 2
-        elif key & 1:  # v -> e uncuttable, then e -> 1 of weight w
-            head.append(a)
-            to += (1, e)
-            cap += (w, 0)
-            nxt += (-1, head[1])
-            head[1] = a + 1
-            a += 2
-            while part:
-                low = part & -part
-                part ^= low
-                v = local[low]
-                to += (e, v)
-                cap += (INF, 0)
-                nxt += (head[v], head[e])
-                head[v] = a
-                head[e] = a + 1
-                a += 2
-        else:  # split gadget: v -> e uncuttable, e -> e + 1 of weight w, e + 1 -> v uncuttable
-            head += (a, a + 1)
-            to += (e + 1, e)
-            cap += (w, 0)
-            nxt += (-1, -1)
-            a += 2
-            while part:
-                low = part & -part
-                part ^= low
-                v = local[low]
-                to += (e, v, v, e + 1)
-                cap += (INF, 0, INF, 0)
-                nxt += (head[v], head[e], head[e + 1], a)
-                head[e] = a + 1
-                head[e + 1] = a + 2
-                head[v] = a + 3
-                a += 4
-    return uncut, p, local, len(head), to, cap, head, nxt
+                if a:  # v -> a uncuttable
+                    to += (a, v)
+                    cap += (INF, 0)
+                if b != 1:  # b -> v uncuttable
+                    to += (v, b)
+                    cap += (INF, 0)
+    head = [-1] * node_count
+    nxt = [-1] * len(to)
+    for x in range(0, len(to), 2):
+        u = to[x + 1]
+        nxt[x] = head[u]
+        head[u] = x
+        if u:  # x + 1 runs into u; an arc into 0 is in no chain
+            v = to[x]
+            nxt[x + 1] = head[v]
+            head[v] = x + 1
+    return uncut, p, local, node_count, to, cap, head, nxt
 
 
 def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> SfmResult:

@@ -67,6 +67,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             DriverConfig(repetitions_per_k=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("rng_seed", 1.5), ("rng_seed", 2.0), ("rng_seed", "3"), ("rng_seed", None),
+        ("repetitions_per_k", 1.5), ("repetitions_per_k", 2.0), ("repetitions_per_k", "3"),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        # before running anything: numpy's SeedSequence or range() would fail later
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            DriverConfig(**{field: value})
+
+    def test_integer_fields_are_stored_as_ints(self):
+        cfg = DriverConfig(rng_seed=np.uint64(7), repetitions_per_k=np.int32(3))
+        assert (cfg.rng_seed, cfg.repetitions_per_k) == (7, 3)
+        assert type(cfg.rng_seed) is type(cfg.repetitions_per_k) is int
+
 
 class TestSampling:
     def test_k_one_selects_everything(self):

@@ -438,7 +438,7 @@ class TestReducedNetwork:
         assert len(seen) == 7
 
     def test_network_matches_a_reference_packing(self):
-        # the one-pass builder against the gadget rules packed with
+        # the builder against the gadget rules packed with
         # build_forward_star (every arc linked), and against enumeration
         rng = philox(53)
         seen = set()
@@ -455,6 +455,8 @@ class TestReducedNetwork:
             assert (uncut, p, node_count) == (ref_uncut, ci.p, ref_count)
             ref = build_forward_star(ref_count, arcs)
             assert arc_slots(to, cap) == arc_slots(*ref[:2])
+            # same chains in the same order, so Dinic does the same work
+            assert chain_arcs(node_count, to, cap, head, nxt) == chain_arcs(ref_count, *ref)
             flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
             ref_flow, ref_level = solve_max_flow(ref_count, 0, 1, *ref)
             side = sum(bit for bit, i in local.items() if level[i] >= 0)
@@ -485,6 +487,20 @@ def arc_slots(to, cap) -> list[tuple[int, int, int]]:
     """Sorted ``(tail, head, capacity)`` of every arc slot; arc ``a``'s tail
     is the head of its pair ``a ^ 1``."""
     return sorted((to[a ^ 1], to[a], cap[a]) for a in range(len(to)))
+
+
+def chain_arcs(node_count, to, cap, head, nxt) -> list[list[tuple[int, int, int]]]:
+    """Each node's adjacency chain in order, as ``(tail, head, capacity)`` of
+    its arcs, leaving out arcs into node 0."""
+    chains = []
+    for v in range(node_count):
+        chain, a = [], head[v]
+        while a != -1:
+            if to[a]:
+                chain.append((to[a ^ 1], to[a], cap[a]))
+            a = nxt[a]
+        chains.append(chain)
+    return chains
 
 
 def reference_network(ci):
