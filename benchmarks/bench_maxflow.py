@@ -6,10 +6,13 @@ Builds a seeded batch of random reduced hypergraph networks with
 pairs from one gadget rule, then every adjacency chain linked in one loop),
 and solves each with ``solve_max_flow`` from local vertex 0 to 1, the
 way the blackbox does: its last BFS levels are the min-cut side, so no
-second BFS is timed.  Building and solving are timed apart.  The last line
-is one JSON record: the package's backend, the solve count, microseconds
-per build and per solve, the mean node and residual-arc counts per network,
-and the Python and numpy versions.  Run directly:
+second BFS is timed.  Building and solving are timed apart, over ``PASSES``
+passes in this one process, so that the spread between processes does not
+enter a comparison; a solve consumes its network's capacities, so each pass
+builds the networks afresh.  The last line is one JSON record: the
+package's backend, the solve count, microseconds per build and per solve in
+the median pass, the mean node and residual-arc counts per network, and the
+Python and numpy versions.  Run directly:
 
     python benchmarks/bench_maxflow.py [--solves 400]
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 
 import numpy as np
@@ -27,6 +31,8 @@ from isocut import ElementSubset
 from isocut._kernels import BACKEND, solve_max_flow
 from isocut.generate import gen_uniform
 from isocut.hypergraph import _flow_network
+
+PASSES = 15  # timed build-and-solve passes; the median of each is reported
 
 
 def make_queries(count: int, rng: np.random.Generator):
@@ -65,12 +71,18 @@ def main() -> None:
         parser.error("--solves must be >= 1")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
-    networks, us_per_build = build(make_queries(args.solves, rng))
+    queries = make_queries(args.solves, rng)
+    builds, solves = [], []
+    for _ in range(PASSES):
+        networks, us = build(queries)
+        builds.append(us)
+        solves.append(solve(networks))
+    us_per_build, us_per_solve = statistics.median(builds), statistics.median(solves)
+    # a solve changes only capacities, so the sizes are read after it
     nodes_per_solve = sum(net[0] for net in networks) / len(networks)
     arcs_per_solve = sum(len(net[1]) for net in networks) / len(networks)
-    print(f"{args.solves} reduced networks, {nodes_per_solve:.1f} nodes and {arcs_per_solve:.1f} arcs on average\n")
-
-    us_per_solve = solve(networks)
+    print(f"{args.solves} reduced networks, {nodes_per_solve:.1f} nodes and {arcs_per_solve:.1f} arcs on average,"
+          f" median of {PASSES} passes\n")
     print(f"{BACKEND:>8}: {us_per_build:9.1f} us/build   {us_per_solve:9.1f} us/solve")
     print(json.dumps({
         "backend": BACKEND,

@@ -6,9 +6,11 @@ Runs ``sfm_bruteforce`` on a fixed seeded batch of contractions, the way
 each call enumerates every subset of the n - 2 free elements (n in 12..16).
 Two oracle kinds run on the same contractions: the cut function of a random
 hypergraph, and the concave-of-cardinality function min(|S|, n - |S|).
-Oracles and contractions are built outside the timed region.  The last line
-is one JSON record: oracle queries and microseconds per query for each kind,
-and the Python and numpy versions.  Run directly:
+Oracles and contractions are built outside the timed region, and each kind
+runs ``PASSES`` timed passes over them in this one process, so that the
+spread between processes does not enter a comparison.  The last line is one
+JSON record: oracle queries per pass and microseconds per query in the
+median pass for each kind, and the Python and numpy versions.  Run directly:
 
     python benchmarks/bench_sfm.py [--calls 20] [--seed 0]
 """
@@ -18,12 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import time
 
 import numpy as np
 
 from isocut import CutOracle, GroundSet, SubmodularOracle, contract, sfm_bruteforce
 from isocut.generate import gen_uniform
+
+PASSES = 15  # timed passes per oracle kind; the median pass is reported
 
 
 def make_jobs(count: int, rng: np.random.Generator):
@@ -48,13 +53,17 @@ def run_kind(kind: str, jobs):
     for n, h, s, t in jobs:
         f = oracle(kind, n, h)
         contracted.append(contract(f, f.ground.subset([s]), f.ground.subset([t])))
-    start = time.perf_counter()
-    for g in contracted:
-        sfm_bruteforce(g)
-    elapsed = time.perf_counter() - start
-    queries = sum(g.query_count for g in contracted)
+    times = []
+    for _ in range(PASSES):
+        start = time.perf_counter()
+        for g in contracted:
+            sfm_bruteforce(g)
+        times.append(time.perf_counter() - start)
+    # every pass makes the same queries, each counted on its contraction's root
+    queries = sum(g.query_count for g in contracted) // PASSES
+    elapsed = statistics.median(times)
     per_query = elapsed / queries * 1e6
-    print(f"{kind:>8}: {elapsed:8.3f} s total   {queries:9d} queries   {per_query:7.2f} us/query")
+    print(f"{kind:>8}: {elapsed:8.3f} s per pass   {queries:9d} queries   {per_query:7.2f} us/query")
     return queries, per_query
 
 
@@ -68,7 +77,7 @@ def main() -> None:
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     jobs = make_jobs(args.calls, rng)
-    print(f"{args.calls} contractions per oracle kind, 10 to 14 free elements each\n")
+    print(f"{args.calls} contractions per oracle kind, 10 to 14 free elements each, median of {PASSES} passes\n")
     queries, us_per_query = {}, {}
     for kind in ("cut", "concave"):
         queries[kind], us_per_query[kind] = run_kind(kind, jobs)

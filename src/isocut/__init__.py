@@ -7,7 +7,6 @@ application answers those calls with an exact in-package max-flow solver.
 
 from ._kernels import BACKEND
 from .core import (
-    ContractedOracle,
     ElementSubset,
     GroundSet,
     OracleContractError,
@@ -54,7 +53,6 @@ __all__ = [
     "AtKResult",
     "BruteForceBlackbox",
     "ContractedInstance",
-    "ContractedOracle",
     "CutOracle",
     "DriverConfig",
     "ElementSubset",

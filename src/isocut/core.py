@@ -17,7 +17,6 @@ __all__ = [
     "GroundSet",
     "ElementSubset",
     "SubmodularOracle",
-    "ContractedOracle",
     "ViolationReport",
     "contract",
     "check_submodular",
@@ -40,6 +39,8 @@ class GroundSet:
     n: int
 
     def __post_init__(self) -> None:
+        # integers only, as in DriverConfig; frozen, so stored past __setattr__
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"ground set needs n >= 1, got {self.n}")
 
@@ -63,8 +64,8 @@ class ElementSubset:
 
     The constructor and :meth:`of` range-check their input.  Results of
     ``|``, ``&``, ``-`` and :meth:`complement`, and the queries that the
-    brute-force blackbox and :class:`ContractedOracle` build from the bits of
-    an existing subset, skip that check (see :func:`_unchecked_subset`):
+    brute-force blackbox and a contraction's ``evaluate`` build from the bits
+    of an existing subset, skip that check (see :func:`_unchecked_subset`):
     a mask combined from in-range masks of one universe is in range too.
     """
 
@@ -72,6 +73,10 @@ class ElementSubset:
     mask: int
 
     def __post_init__(self) -> None:
+        # integers only, as in GroundSet; exact ints, as on every hot path, skip the stores
+        if type(self.n) is not int or type(self.mask) is not int:
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "mask", operator.index(self.mask))
         if self.n < 1:
             raise ValueError("subset universe needs n >= 1")
         if not 0 <= self.mask < (1 << self.n):
@@ -151,31 +156,39 @@ class SubmodularOracle:
     ``evaluate`` is the only query channel; the counter increments exactly
     once per call.  ``symmetric`` is a claim, checkable with
     :func:`check_symmetric`.
+
+    A fresh oracle has every element ``free`` and empty ``forced_in`` and
+    ``forced_out``.  :func:`contract` returns the same class over the same
+    function with those three sets narrowed: a query must lie in ``free`` and
+    is evaluated with ``forced_in`` added, and it is counted on the oracle
+    the chain of contractions started from.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[ElementSubset], int], *, symmetric: bool = False):
         self.ground = ground
         self._fn = fn
         self.symmetric = bool(symmetric)
-        self._queries = 0
+        self.free = ground.full()
+        self.forced_in = self.forced_out = ground.empty()
+        # one cell shared with every contraction, so they all count here
+        self._queries = [0]
 
     @property
     def n(self) -> int:
         return self.ground.n
 
     @property
-    def free(self) -> ElementSubset:
-        """Elements the oracle accepts in query subsets (all of them here)."""
-        return self.ground.full()
-
-    @property
     def query_count(self) -> int:
-        return self._queries
+        return self._queries[0]
 
     def evaluate(self, subset: ElementSubset) -> int:
-        if subset.n != self.ground.n:
-            raise ValueError("subset does not live in this oracle's ground set")
-        self._queries += 1
+        free = self.free
+        if subset.n != free.n or subset.mask & ~free.mask:
+            raise ValueError("subset uses elements outside the oracle's free elements")
+        self._queries[0] += 1
+        forced = self.forced_in.mask
+        if forced:
+            subset = _unchecked_subset(free.n, forced | subset.mask)
         value = self._fn(subset)
         try:
             return operator.index(value)
@@ -183,53 +196,27 @@ class SubmodularOracle:
             raise TypeError(f"oracle returned non-integer value {value!r}") from None
 
 
-class ContractedOracle:
-    """The function A -> base(forced_in | A) on the elements left free.
+def contract(f: SubmodularOracle, forced_in: ElementSubset, forced_out: ElementSubset) -> SubmodularOracle:
+    """The function A -> f(forced_in | A) on the free elements of ``f`` in neither side.
 
-    ``forced_in`` is glued inside every query, ``forced_out`` is excluded from
-    the usable ground set, so the effective universe is V minus both.  Each
-    evaluation forwards exactly one query to the base oracle, so query
-    accounting composes.
+    The result is a :class:`SubmodularOracle` over ``f``'s function, not
+    symmetric, that counts each query once on the oracle ``f``'s chain of
+    contractions started from.  Contracting a contraction stays flat: its
+    forced sets are the unions.  Both sides must be free elements of ``f``
+    from its ground set, and disjoint.
     """
-
-    def __init__(self, base: SubmodularOracle, forced_in: ElementSubset, forced_out: ElementSubset):
-        if forced_in.n != base.n or forced_out.n != base.n:
-            raise ValueError("forced sets do not live in the base ground set")
-        if forced_in & forced_out:
-            raise ValueError("forced_in and forced_out overlap")
-        self.base = base
-        self.forced_in = forced_in
-        self.forced_out = forced_out
-        self.free = base.free - forced_in - forced_out
-        self.ground = base.ground
-        self.symmetric = False
-
-    @property
-    def n(self) -> int:
-        return self.ground.n
-
-    @property
-    def query_count(self) -> int:
-        return self.base.query_count
-
-    def evaluate(self, subset: ElementSubset) -> int:
-        free = self.free
-        if subset.n != free.n or subset.mask & ~free.mask:
-            raise ValueError("subset uses elements outside the contraction's ground set")
-        return self.base.evaluate(_unchecked_subset(free.n, self.forced_in.mask | subset.mask))
-
-
-def contract(f, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedOracle:
-    """Force ``forced_in`` inside and ``forced_out`` outside of every query.
-
-    Contracting an already-contracted oracle flattens onto its base, so a
-    chain of contractions still costs one base query per evaluation.
-    """
-    if isinstance(f, ContractedOracle):
-        if not (forced_in <= f.free and forced_out <= f.free):
-            raise ValueError("forced sets must be free elements of the contraction")
-        return ContractedOracle(f.base, f.forced_in | forced_in, f.forced_out | forced_out)
-    return ContractedOracle(f, forced_in, forced_out)
+    if forced_in.n != f.n or forced_out.n != f.n:
+        raise ValueError("forced sets do not live in the oracle's ground set")
+    if forced_in & forced_out:
+        raise ValueError("forced_in and forced_out overlap")
+    if not (forced_in <= f.free and forced_out <= f.free):
+        raise ValueError("forced sets must be free elements of the oracle")
+    g = SubmodularOracle(f.ground, f._fn)
+    g.forced_in = f.forced_in | forced_in
+    g.forced_out = f.forced_out | forced_out
+    g.free = f.free - forced_in - forced_out
+    g._queries = f._queries
+    return g
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,7 @@ def find_nontrivial_minimizer_at_k(f, k: int, cfg: DriverConfig, blackbox) -> At
     n = f.ground.n
     if n < 2:
         raise ValueError("driver needs a ground set with n >= 2")
+    k = operator.index(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     reps = cfg.resolved_repetitions(n)

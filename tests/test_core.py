@@ -1,19 +1,24 @@
 """Subsets, oracles, contraction, and the property checkers."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from isocut import (
+    BruteForceBlackbox,
     CutOracle,
     ElementSubset,
     GroundSet,
     Hypergraph,
+    OracleContractError,
     SizeLimitError,
     SubmodularOracle,
+    TerminalSet,
     bruteforce_nontrivial_min,
     check_submodular,
     check_symmetric,
     contract,
+    isolating_sets,
 )
 
 from conftest import philox, random_hypergraph
@@ -58,11 +63,33 @@ class TestElementSubset:
         with pytest.raises(ValueError):
             ElementSubset.of(3, [0]) | ElementSubset.of(4, [0])
 
+    @pytest.mark.parametrize("n, mask", [(3, 1.0), (3.0, 1), ("3", 1), (3, None)])
+    def test_non_integers_rejected(self, n, mask):
+        # a float mask used to construct, then fail in len() on bit_count
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ElementSubset(n, mask)
+
+    def test_integer_fields_are_stored_as_ints(self):
+        s = ElementSubset(True, np.int64(1))
+        assert (s.n, s.mask) == (1, 1) and type(s.n) is type(s.mask) is int
+
 
 class TestGroundSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             GroundSet(0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_non_integer_n_rejected(self, n):
+        # GroundSet(2.5) used to construct, then fail in full() on the shift
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            GroundSet(n)
+
+    def test_n_is_stored_as_int(self):
+        for n in (True, np.int32(3)):
+            g = GroundSet(n)
+            assert g.n == int(n) and type(g.n) is int
+            assert len(g.full()) == int(n)
 
     def test_subset_builders(self):
         g = GroundSet(4)
@@ -116,11 +143,28 @@ class TestContract:
         s2, t2 = f.ground.subset([2]), f.ground.subset([3])
         nested = contract(contract(f, s1, t1), s2, t2)
         flat = contract(f, s1 | s2, t1 | t2)
-        assert nested.free == flat.free
+        assert (nested.free, nested.forced_in, nested.forced_out) == (flat.free, flat.forced_in, flat.forced_out)
         for mask in range(1 << h.n):
             s = ElementSubset(h.n, mask)
             if s <= flat.free:
                 assert nested.evaluate(s) == flat.evaluate(s)
+
+    def test_nested_contraction_counts_once_on_the_root(self):
+        f = CutOracle(random_hypergraph(philox(6), n_lo=6, n_hi=6))
+        g = contract(f, f.ground.subset([0]), f.ground.subset([5]))
+        h = contract(g, f.ground.subset([1]), f.ground.subset([4]))
+        before = f.query_count
+        for mask in range(4):
+            h.evaluate(ElementSubset(6, mask << 2))
+        assert f.query_count - before == 4
+        assert g.query_count == h.query_count == f.query_count
+
+    def test_contraction_is_not_symmetric(self):
+        f = path_oracle()
+        g = contract(f, f.ground.subset([0]), f.ground.empty())
+        assert f.symmetric and not g.symmetric
+        with pytest.raises(OracleContractError):
+            isolating_sets(g, TerminalSet(f.ground.subset([1, 2])), BruteForceBlackbox())
 
     def test_rejects_forced_sets_outside_free(self):
         f = path_oracle()

@@ -164,6 +164,13 @@ class TestAtK:
         assert res.best_value == 1
         assert set(res.best_set) in ({0, 1, 2}, {3, 4, 5})
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_non_integer_k_rejected(self, k):
+        # 2.5 used to fail inside numpy's SeedSequence with "seed must be integer"
+        f = CutOracle(dumbbell())
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            find_nontrivial_minimizer_at_k(f, k, DriverConfig(rng_seed=5), BruteForceBlackbox())
+
     def test_call_accounting_via_trial_stats(self):
         f = CutOracle(dumbbell())
         res = find_nontrivial_minimizer_at_k(f, 2, DriverConfig(rng_seed=11), BruteForceBlackbox())

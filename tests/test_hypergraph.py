@@ -16,6 +16,7 @@ from isocut import (
     canonical_side,
     check_submodular,
     check_symmetric,
+    contract,
     contracted_instance,
     cut_value,
     gen_planted,
@@ -339,6 +340,14 @@ def test_generators_stop_at_the_total_weight_limit(gen):
 
 
 class TestFlowBlackbox:
+    def test_rejects_a_contraction_of_its_cut_oracle(self):
+        # a contraction is not the cut oracle, so it cannot pass as its base
+        h = gen_planted(6, 12, 3, 10, philox(9))[0]
+        f = CutOracle(h)
+        g = contract(f, f.ground.subset([0]), f.ground.subset([5]))
+        with pytest.raises(ValueError, match="not the cut oracle"):
+            HypergraphFlowBlackbox(h)(g, f.ground.subset([1]), f.ground.subset([4]))
+
     def test_matches_generic_cut_sfm(self):
         # exhaustive SFM of the cut function, for one-vertex and larger sides
         rng = philox(41)
