@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Blackbox calls against n, replayed from the driver's draws with no oracle.
+
+``find_nontrivial_minimizer`` charges each trial that reaches
+``isolating_sets`` ceil(log2 |R|) + |R| blackbox calls, whatever the oracle,
+and the terminal sample R comes from the seed alone.  So the calls of a run
+on a connected input follow from n, the seed and the repetitions.  This
+script replays those draws: for each n in ``SIZES`` it sweeps
+``geometric_schedule(n)``, draws ``DriverConfig.resolved_repetitions(n)``
+samples per k with ``sample_terminals`` from ``driver._trial_rng``, skips
+the samples the driver skips, and counts per row:
+
+- ``trials``: repetitions per k times the schedule length, the driver's
+  ``trials_run``;
+- ``trials_run``: the trials that were not skipped and reached
+  ``isolating_sets``;
+- ``charged_calls``: ceil(log2 |R|) + |R| per trial run, as the driver
+  counts them;
+- ``paper_calls``: ceil(log2 |R|) + 1 per trial run, with round 2 as one
+  call, and that count divided by log2(n)^3.
+
+The record also holds two fitted exponents: the least-squares slope of
+log(paper calls) against log(log2 n), and of log(charged calls) against
+log(n log2 n).  Run from the repository root (no options):
+
+    python benchmarks/bench_calls.py
+
+It writes the record to ``BENCH_calls.json`` in the current directory and
+prints it as its last line.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import platform
+
+import numpy as np
+
+from isocut import DriverConfig, geometric_schedule, sample_terminals
+from isocut.driver import _trial_rng
+
+SIZES = (16, 30, 60, 240, 1_000, 4_000, 16_000, 64_000)
+RNG_SEED = 1
+OUTPUT = "BENCH_calls.json"
+
+
+def replay(n: int) -> dict:
+    """One row: the trials and calls of a default-config run on n vertices."""
+    reps = DriverConfig(rng_seed=RNG_SEED).resolved_repetitions(n)
+    schedule = geometric_schedule(n)
+    trials_run = charged = paper = 0
+    for k in schedule:
+        rng = _trial_rng(RNG_SEED, k)
+        for _ in range(reps):
+            r = len(sample_terminals(n, k, rng))
+            if r < 2 or (r == n and n > 2):  # the driver's skip rule
+                continue
+            bits = (r - 1).bit_length()  # ceil(log2 r)
+            trials_run += 1
+            charged += bits + r
+            paper += bits + 1
+    return {
+        "n": n,
+        "reps_per_k": reps,
+        "schedule_len": len(schedule),
+        "trials": reps * len(schedule),
+        "trials_run": trials_run,
+        "charged_calls": charged,
+        "paper_calls": paper,
+        "paper_per_log2_n_cubed": round(paper / math.log2(n) ** 3, 3),
+    }
+
+
+def slope(x: list[float], y: list[float]) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    return round(float(np.polyfit(np.log(x), np.log(y), 1)[0]), 4)
+
+
+def main() -> None:
+    rows = []
+    print(f"{'n':>6} {'reps/k':>6} {'ks':>3} {'trials':>6} {'run':>6} {'charged':>10} {'paper':>7} {'paper/log2^3':>12}")
+    for n in SIZES:
+        row = replay(n)
+        rows.append(row)
+        print(f"{n:>6} {row['reps_per_k']:>6} {row['schedule_len']:>3} {row['trials']:>6} {row['trials_run']:>6}"
+              f" {row['charged_calls']:>10} {row['paper_calls']:>7} {row['paper_per_log2_n_cubed']:>12}")
+    log_n = [math.log2(n) for n in SIZES]
+    record = {
+        "rng_seed": RNG_SEED,
+        "rows": rows,
+        "paper_calls_exponent_vs_log2_n": slope(log_n, [r["paper_calls"] for r in rows]),
+        "charged_calls_exponent_vs_n_log2_n": slope([n * b for n, b in zip(SIZES, log_n)],
+                                                    [r["charged_calls"] for r in rows]),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    with open(OUTPUT, "w") as out:
+        json.dump(record, out, indent=1)
+        out.write("\n")
+    print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main()

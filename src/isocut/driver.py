@@ -44,6 +44,7 @@ def geometric_schedule(n: int) -> tuple[int, ...]:
     ground set, and for n > 2 the driver skips every such trial without a
     blackbox call.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     ks: list[int] = []
@@ -82,6 +83,7 @@ class DriverConfig:
 
 def sample_terminals(n: int, k: int, rng: np.random.Generator) -> ElementSubset:
     """Include each of the n elements independently with probability 1/k."""
+    n, k = operator.index(n), operator.index(k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     hits = rng.integers(0, k, size=n) == 0

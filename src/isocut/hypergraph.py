@@ -2,12 +2,12 @@
 
 Every s-t query merges its source side and its sink side into one vertex
 each, local vertices 0 and 1, and solves a max flow from 0 to 1 on that
-contraction.  ``_flow_network`` builds the query's network straight from the
-edge bitmasks: it validates the sides once, reads each edge bitmask once and
-merges edges on one int key, the edge's free vertices shifted left by two
-plus a bit each for meeting either side; no contracted instance or arc list
-is built in between.  Each contracted edge of weight ``w`` becomes the
-smallest gadget that costs ``w`` in a minimum cut exactly when the edge
+contraction.  ``contracted_instance`` validates the sides once, reads each
+edge bitmask once and merges edges on one int key, the edge's free vertices
+shifted left by two plus a bit each for meeting either side;
+``_flow_network`` writes the query's network straight from those images,
+with no arc list in between.  Each contracted edge of weight ``w`` becomes
+the smallest gadget that costs ``w`` in a minimum cut exactly when the edge
 crosses the vertex bipartition:
 
 - an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
@@ -35,7 +35,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # extend_forward_star is unused here, but perfbench/tracing.py wraps it by name
 from ._kernels import INF, build_forward_star, extend_forward_star, residual_reachable, solve_max_flow
@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 MAX_TOTAL_WEIGHT = 1 << 60
-# Parsers reject larger vertex counts before anything is sized by n: the
-# pipeline builds O(n) lists and (1 << n) masks.
+# Hypergraph and both parsers reject larger vertex counts before anything is
+# sized by n: the pipeline builds O(n) lists and (1 << n) masks.
 MAX_VERTICES = 1 << 20
 # parse errors echo at most this much of an offending value's repr
 _ECHO_CHARS = 40
@@ -108,8 +108,8 @@ class Hypergraph:
 
     def __init__(self, n: int, edges):
         n = operator.index(n)
-        if n < 1:
-            raise ValueError("hypergraph needs n >= 1")
+        if not 1 <= n <= MAX_VERTICES:
+            raise ValueError(f"hypergraph needs 1 <= n <= {MAX_VERTICES}, got {_echo(n)}")
         self.n = n
         merged: dict[tuple[int, ...], int] = {}
         total = 0
@@ -311,34 +311,27 @@ def st_mincut(h: Hypergraph, sources: ElementSubset, sinks: ElementSubset) -> tu
     return res.value, sources | res.minimizer
 
 
-@dataclass(frozen=True)
-class ContractedInstance:
+class ContractedInstance(NamedTuple):
     """An s-t min-cut instance with each forced side merged into one vertex.
 
     Local vertex 0 is the image of ``forced_in`` and 1 that of
-    ``forced_out``; local vertex ``i + 2`` is the free vertex
-    ``vertex_ids[i]``, in ascending order.  Each entry of ``edges`` is
-    ``((free, meets_in, meets_out), w)``: ``free`` is the bitmask, over the
-    original vertex ids, of the edge's free vertices, and the flags say
-    whether the image holds 0 and 1.  Images of fewer than two vertices are
-    dropped and equal images merge by weight, in first-seen order.  ``p`` is
-    the sum of the image sizes.
+    ``forced_out``.  ``free`` is the bitmask of the other vertices, in their
+    original ids.  ``images`` maps each edge's contracted image to its
+    weight, equal images merged, in first-seen order.  An image's key is
+    ``part << 2 | meets_in << 1 | meets_out``: ``part`` is the bitmask of
+    the edge's free vertices, and the flags say whether the image holds 0
+    and 1.  Images of fewer than two vertices cross no cut but are kept.
     """
 
-    n: int
-    edges: tuple[tuple[tuple[int, bool, bool], int], ...]
-    vertex_ids: tuple[int, ...]
-    p: int
+    free: int
+    images: dict[int, int]
 
 
-def _images(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> tuple[int, dict[int, int]]:
-    """``(free, images)``: the mask of the free vertices, and each edge's
-    contracted image merged by weight, in first-seen order.
+def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
+    """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
 
-    An image's key is ``part << 2 | meets_in << 1 | meets_out``: ``part`` is
-    the bitmask, over the original ids, of the edge's free vertices, and the
-    flags say whether the image holds local 0 and 1.  Images of fewer than
-    two vertices are kept here; callers skip them.
+    Every cut (A, rest) with forced_in inside A and forced_out outside it
+    keeps its value.  Every flow query builds its network from this.
     """
     _check_terminal_sides(h, forced_in, forced_out)
     fin, fout = forced_in.mask, forced_out.mask
@@ -347,26 +340,7 @@ def _images(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) 
     for em, w in h._masks:
         key = (em & free) << 2 | (em & fin and 2) | (em & fout and 1)
         images[key] = images.get(key, 0) + w
-    return free, images
-
-
-def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset) -> ContractedInstance:
-    """Merge ``forced_in`` into local vertex 0 and ``forced_out`` into 1.
-
-    Every cut (A, rest) with forced_in inside A and forced_out outside it
-    keeps its value.  The flow blackbox builds its network straight from the
-    same images (``_flow_network``) and does not call this.
-    """
-    free, images = _images(h, forced_in, forced_out)
-    edges = []
-    p = 0
-    for key, w in images.items():
-        size = key.bit_count()  # free vertices plus one per flag
-        if size >= 2:
-            edges.append(((key >> 2, bool(key & 2), bool(key & 1)), w))
-            p += size
-    keep = tuple([*ElementSubset(h.n, free)])  # from a list: see Hypergraph.__init__
-    return ContractedInstance(n=len(keep) + 2, edges=tuple(edges), vertex_ids=keep, p=p)
+    return ContractedInstance(free, images)
 
 
 def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset):
@@ -382,7 +356,7 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
     ``to`` and ``cap`` only; one loop then links every arc into its tail's
     chain, in slot order, except the arcs into 0.
     """
-    free, images = _images(h, forced_in, forced_out)
+    free, images = contracted_instance(h, forced_in, forced_out)
     local = {}
     node_count = 2
     while free:

@@ -1,9 +1,10 @@
 """The scripts in ``benchmarks/`` run and end with one strict-JSON record.
 
 Nothing else imports them, so a name they import going away would otherwise
-break them unnoticed.
+break them unnoticed.  The call-count replay must also agree with the driver.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from isocut import DriverConfig, gen_uniform, hypergraph_mincut
+
+from conftest import philox
 from test_benchmark_stdout import strict_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,13 +23,16 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args, keys", [
     ("bench_maxflow.py", ["--solves", "5"], {"backend", "solves", "us_per_build", "us_per_solve", "nodes_per_solve", "arcs_per_solve", "python", "numpy"}),
     ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "python", "numpy"}),
+    ("bench_calls.py", [], {"rng_seed", "rows", "paper_calls_exponent_vs_log2_n",
+                            "charged_calls_exponent_vs_n_log2_n", "python", "numpy"}),
 ])
-def test_tiny_run_ends_with_strict_json_record(script, args, keys):
+def test_tiny_run_ends_with_strict_json_record(script, args, keys, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # from a scratch directory: bench_calls.py writes its record to the current one
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / script), *args],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     record = strict_json(proc.stdout.splitlines()[-1])
@@ -34,3 +41,22 @@ def test_tiny_run_ends_with_strict_json_record(script, args, keys):
         assert record["solves"] == 5
         for key in ("us_per_build", "us_per_solve"):
             assert isinstance(record[key], float) and record[key] > 0
+
+
+def load_bench_calls():
+    spec = importlib.util.spec_from_file_location("bench_calls", ROOT / "benchmarks" / "bench_calls.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n, calls, trials", [(30, 3791, 472), (60, 8694, 710)])
+def test_call_replay_matches_the_driver(n, calls, trials):
+    # the replay draws no graph, so any connected input must give its counts
+    bench_calls = load_bench_calls()
+    row = bench_calls.replay(n)
+    h = gen_uniform(n, 4 * n, 3, 5, philox(n))
+    res = hypergraph_mincut(h, DriverConfig(rng_seed=bench_calls.RNG_SEED))
+    skipped = sum(r.trials_skipped for r in res.driver.per_k_breakdown)
+    assert (res.blackbox_calls, res.trials, res.trials - skipped) == (calls, trials, row["trials_run"])
+    assert (row["charged_calls"], row["trials"]) == (calls, trials)

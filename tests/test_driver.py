@@ -54,6 +54,12 @@ class TestSchedule:
         ks = geometric_schedule(MAX_VERTICES)
         assert all(a < b for a, b in zip(ks, ks[1:]))
 
+    @pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+    def test_non_integer_n_rejected(self, n):
+        # 8.5 used to give the schedule of 8
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            geometric_schedule(n)
+
 
 class TestConfig:
     def test_default_repetitions(self):
@@ -131,6 +137,15 @@ class TestSampling:
             sample_terminals(5, 0, rng)
         with pytest.raises(ValueError):
             sample_terminals(5, 6, rng)
+
+    @pytest.mark.parametrize("n, k", [(9, 2.5), (9.0, 3), (9, 2.0), (9, "3")])
+    def test_non_integer_n_or_k_rejected(self, n, k):
+        # numpy would draw integers(0, 2.5) as if k were 2, and fail on n = 9.0
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            sample_terminals(n, k, philox(4))
+
+    def test_numpy_integers_draw_as_ints(self):
+        assert sample_terminals(np.int64(40), np.int32(3), philox(5)) == sample_terminals(40, 3, philox(5))
 
 
 class TestCanonicalSide:

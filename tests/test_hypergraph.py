@@ -68,6 +68,12 @@ class TestModel:
         with pytest.raises(TypeError):
             Hypergraph(2.5, [((0, 1), 1)])
 
+    def test_vertex_count_limit(self):
+        # the parsers' limit holds for library callers too; no oracle is built
+        with pytest.raises(ValueError, match=f"n <= {MAX_VERTICES}, got {MAX_VERTICES + 1}"):
+            Hypergraph(MAX_VERTICES + 1, [((0, 1), 1)])
+        assert Hypergraph(MAX_VERTICES, [((0, 1), 1)]).n == MAX_VERTICES
+
 
 class TestCutValue:
     def test_single_hyperedge(self):
@@ -232,33 +238,51 @@ def reference_images(h: Hypergraph, in_mask: int, out_mask: int):
     return tuple(merged.items()), sum(len(image) for image in merged)
 
 
+def free_ids(ci) -> tuple[int, ...]:
+    """The original ids of ``ci``'s free vertices, ascending: local ids 2, 3, ..."""
+    return tuple(u for u in range(ci.free.bit_length()) if ci.free >> u & 1)
+
+
+def local_n(ci) -> int:
+    """Local vertex count: 0, 1 and the free vertices."""
+    return ci.free.bit_count() + 2
+
+
 def local_images(ci) -> tuple:
-    """``ci.edges`` as sorted local images: 0 and 1 from the flags, then the
-    local ids of the free vertices in the mask."""
-    local = {u: i for i, u in enumerate(ci.vertex_ids, 2)}
+    """``ci.images`` as sorted local images, leaving out those of fewer than
+    two vertices: 0 and 1 from the flags, then the local ids of the free
+    vertices in the key."""
+    local = {u: i for i, u in enumerate(free_ids(ci), 2)}
     out = []
-    for (free, meets_in, meets_out), w in ci.edges:
-        image = [0] * meets_in + [1] * meets_out + [local[u] for u in range(free.bit_length()) if free >> u & 1]
-        out.append((tuple(image), w))
+    for key, w in ci.images.items():
+        part = key >> 2
+        image = [0] * (key >> 1 & 1) + [1] * (key & 1) + [local[u] for u in range(part.bit_length()) if part >> u & 1]
+        if len(image) >= 2:
+            out.append((tuple(image), w))
     return tuple(out)
+
+
+def rep_size(ci) -> int:
+    """p of the contraction: the sum of the sizes of its images of two or more vertices."""
+    return sum(len(image) for image, _ in local_images(ci))
 
 
 class TestContractedInstance:
     def test_path_single_vertex_cell(self):
         h = Hypergraph(3, [((0, 1), 1), ((1, 2), 1)])
         ci = contracted_instance(h, ElementSubset.of(3, [0]), ElementSubset.of(3, [1, 2]))
-        assert (ci.n, ci.vertex_ids, ci.p) == (2, (), 2)
+        assert (local_n(ci), free_ids(ci), rep_size(ci)) == (2, (), 2)
         assert local_images(ci) == (((0, 1), 1),)  # the b-c edge collapses away
-        assert (local_images(ci), ci.p) == reference_images(h, 0b001, 0b110)
-        assert raw_cut(Hypergraph(ci.n, local_images(ci)), 0b01) == raw_cut(h, 0b001)
+        assert (local_images(ci), rep_size(ci)) == reference_images(h, 0b001, 0b110)
+        assert raw_cut(Hypergraph(local_n(ci), local_images(ci)), 0b01) == raw_cut(h, 0b001)
 
     def test_big_edge_image(self):
         h = Hypergraph(4, [((0, 1, 2, 3), 2)])
         ci = contracted_instance(h, ElementSubset.of(4, [0]), ElementSubset.of(4, [2, 3]))
-        assert ci.edges == (((0b0010, True, True), 2),)  # free vertex 1, both sides met
+        assert ci == (0b0010, {0b0010 << 2 | 0b11: 2})  # free vertex 1, both sides met
         assert local_images(ci) == (((0, 1, 2), 2),)
-        assert ci.vertex_ids == (1,)
-        assert (local_images(ci), ci.p) == reference_images(h, 0b0001, 0b1100)
+        assert free_ids(ci) == (1,)
+        assert (local_images(ci), rep_size(ci)) == reference_images(h, 0b0001, 0b1100)
 
     def test_merge_order_is_first_seen_and_small_images_drop(self):
         # local 0 = {0, 1}, local 1 = {3, 4}, local 2 = vertex 2
@@ -273,9 +297,11 @@ class TestContractedInstance:
             ((2,), 9),  # rank one: dropped
         ])
         ci = contracted_instance(h, ElementSubset.of(5, [0, 1]), ElementSubset.of(5, [3, 4]))
+        # images of fewer than two vertices stay, in first-seen order
+        assert list(ci.images.values()) == [1, 12, 7, 6, 1, 9]
         assert local_images(ci) == (((1, 2), 12), ((0, 2), 7), ((0, 1), 1))
-        assert (ci.n, ci.vertex_ids, ci.p) == (3, (2,), 6)
-        assert (local_images(ci), ci.p) == reference_images(h, 0b00011, 0b11000)
+        assert (local_n(ci), free_ids(ci), rep_size(ci)) == (3, (2,), 6)
+        assert (local_images(ci), rep_size(ci)) == reference_images(h, 0b00011, 0b11000)
 
     def test_full_cell_rejected(self):
         # no sink side, no source side, overlapping sides, another universe
@@ -292,10 +318,10 @@ class TestContractedInstance:
             h = random_hypergraph(rng, n_lo=3, n_hi=9)
             in_mask, out_mask = random_sides(rng, h.n)
             ci = contracted_instance(h, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
-            assert (local_images(ci), ci.p) == reference_images(h, in_mask, out_mask)
-            free = ci.vertex_ids
+            assert (local_images(ci), rep_size(ci)) == reference_images(h, in_mask, out_mask)
+            free = free_ids(ci)
             assert free == tuple(u for u in range(h.n) if not (in_mask | out_mask) >> u & 1)
-            image = Hypergraph(ci.n, local_images(ci))
+            image = Hypergraph(local_n(ci), local_images(ci))
             for bits in range(1 << len(free)):
                 orig_mask = in_mask | sum(1 << free[i] for i in range(len(free)) if bits >> i & 1)
                 assert raw_cut(h, orig_mask) == raw_cut(image, 1 | bits << 2)
@@ -421,14 +447,14 @@ class TestReducedNetwork:
         forced_in, forced_out = ElementSubset.of(8, [0, 1]), ElementSubset.of(8, [6, 7])
         ci = contracted_instance(h, forced_in, forced_out)
         uncut, p, _, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
-        assert (uncut, p) == (2 * w - 1, ci.p)
-        assert node_count == ci.n + 1 + 1 + 2
+        assert (uncut, p) == (2 * w - 1, rep_size(ci))
+        assert node_count == local_n(ci) + 1 + 1 + 2
         # one arc pair per two-vertex image, one per vertex of a one-node
         # gadget, 2r + 1 per split gadget
         assert len(to) == 2 * (3 + 3 + 3 + 7)
         res = _flow_cut(h, forced_in, forced_out)
         value, side = brute_st_cut(h, forced_in.mask, forced_out.mask)
-        assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~forced_in.mask, ci.p)
+        assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~forced_in.mask, rep_size(ci))
 
     def test_flow_cut_matches_enumeration(self):
         # rank up to 5, sides of any size, weights near the total-weight limit
@@ -439,11 +465,11 @@ class TestReducedNetwork:
             in_mask, out_mask = random_sides(rng, h.n)
             forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
             ci = contracted_instance(h, forced_in, forced_out)
-            assert (local_images(ci), ci.p) == reference_images(h, in_mask, out_mask)
+            assert (local_images(ci), rep_size(ci)) == reference_images(h, in_mask, out_mask)
             seen.update(edge_class(image) for image, _ in local_images(ci))
             res = _flow_cut(h, forced_in, forced_out)
             value, side = brute_st_cut(h, in_mask, out_mask)
-            assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, ci.p)
+            assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, rep_size(ci))
         assert len(seen) == 7
 
     def test_network_matches_a_reference_packing(self):
@@ -458,10 +484,10 @@ class TestReducedNetwork:
             ci = contracted_instance(h, forced_in, forced_out)
             seen.update(edge_class(image) for image, _ in local_images(ci))
             uncut, p, local, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
-            assert list(local) == [1 << u for u in ci.vertex_ids]
-            assert list(local.values()) == list(range(2, ci.n))
+            assert list(local) == [1 << u for u in free_ids(ci)]
+            assert list(local.values()) == list(range(2, local_n(ci)))
             ref_uncut, ref_count, arcs = reference_network(ci)
-            assert (uncut, p, node_count) == (ref_uncut, ci.p, ref_count)
+            assert (uncut, p, node_count) == (ref_uncut, rep_size(ci), ref_count)
             ref = build_forward_star(ref_count, arcs)
             assert arc_slots(to, cap) == arc_slots(*ref[:2])
             # same chains in the same order, so Dinic does the same work
@@ -469,7 +495,7 @@ class TestReducedNetwork:
             flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
             ref_flow, ref_level = solve_max_flow(ref_count, 0, 1, *ref)
             side = sum(bit for bit, i in local.items() if level[i] >= 0)
-            ref_side = sum(1 << u for i, u in enumerate(ci.vertex_ids, 2) if ref_level[i] >= 0)
+            ref_side = sum(1 << u for i, u in enumerate(free_ids(ci), 2) if ref_level[i] >= 0)
             value, brute_side = brute_st_cut(h, in_mask, out_mask)
             assert (uncut + flow, side) == (ref_uncut + ref_flow, ref_side) == (value, brute_side & ~in_mask)
         assert len(seen) == 7
@@ -515,7 +541,7 @@ def chain_arcs(node_count, to, cap, head, nxt) -> list[list[tuple[int, int, int]
 def reference_network(ci):
     """``(uncut, node_count, arcs)`` of ``ci``'s reduced network, written from
     the gadget rules on sorted local images, as ``(u, v, c, rc)`` quadruples."""
-    uncut, node, arcs = 0, ci.n, []
+    uncut, node, arcs = 0, local_n(ci), []
     for image, w in local_images(ci):
         kind = edge_class(image)
         if kind == "both terminals":
@@ -535,18 +561,29 @@ def reference_network(ci):
     return uncut, node, arcs
 
 
-@pytest.fixture
-def flow_solve_count(monkeypatch):
-    """Counts calls of the max-flow kernel the blackbox solves with."""
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Counts calls of the module global ``isocut.hypergraph.<name>``."""
     count = [0]
-    solve = isocut.hypergraph.solve_max_flow
+    original = getattr(isocut.hypergraph, name)
 
     def counted(*args):
         count[0] += 1
-        return solve(*args)
+        return original(*args)
 
-    monkeypatch.setattr(isocut.hypergraph, "solve_max_flow", counted)
+    monkeypatch.setattr(isocut.hypergraph, name, counted)
     return count
+
+
+@pytest.fixture
+def flow_solve_count(monkeypatch):
+    """Counts calls of the max-flow kernel the blackbox solves with."""
+    return count_calls(monkeypatch, "solve_max_flow")
+
+
+@pytest.fixture
+def contraction_count(monkeypatch):
+    """Counts calls of the contraction every flow query builds its network from."""
+    return count_calls(monkeypatch, "contracted_instance")
 
 
 class TestFlowBlackboxMemo:
@@ -572,10 +609,11 @@ class TestFlowBlackboxMemo:
             bb(f, ElementSubset(7, 0b1), ElementSubset(7, 0b10))
         assert bb.flow_solves == 1
 
-    def test_flow_solves_counts_kernel_solves(self, flow_solve_count):
+    def test_flow_solves_counts_kernel_solves(self, flow_solve_count, contraction_count):
         h = gen_planted(12, 36, 3, 10, philox(7))[0]
         res = hypergraph_mincut(h, DriverConfig(rng_seed=1))
-        assert res.flow_solves == flow_solve_count[0]
+        # one contraction per solve: no second contraction path
+        assert res.flow_solves == flow_solve_count[0] == contraction_count[0]
         assert 0 < res.flow_solves < res.blackbox_calls
 
     def test_no_answers_carry_across_runs(self):
