@@ -19,12 +19,16 @@ from .core import (
 )
 from .driver import (
     AtKResult,
+    MISS_TARGET,
     DriverConfig,
     MinimizerResult,
+    NoCandidateError,
     canonical_side,
     find_nontrivial_minimizer,
     find_nontrivial_minimizer_at_k,
     geometric_schedule,
+    isolation_probability,
+    miss_bound,
     sample_terminals,
 )
 from .generate import gen_planted, gen_uniform
@@ -63,7 +67,9 @@ __all__ = [
     "HypergraphParseError",
     "IsolatingResult",
     "IsolatingStats",
+    "MISS_TARGET",
     "MinimizerResult",
+    "NoCandidateError",
     "OracleContractError",
     "SfmResult",
     "SizeLimitError",
@@ -85,6 +91,8 @@ __all__ = [
     "geometric_schedule",
     "hypergraph_mincut",
     "isolating_sets",
+    "isolation_probability",
+    "miss_bound",
     "parse_hypergraph",
     "parse_hypergraph_json",
     "sample_terminals",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .core import GroundSet, SubmodularOracle
-from .driver import DriverConfig, find_nontrivial_minimizer
+from .driver import DriverConfig, NoCandidateError, find_nontrivial_minimizer
 from .generate import gen_planted, gen_uniform
 from .hypergraph import (
     CutOracle,
@@ -38,6 +38,7 @@ from .sfm import BruteForceBlackbox, bruteforce_nontrivial_min
 VERIFY_CAP = 14
 # seeds feed numpy's SeedSequence and the driver's 64-bit rng_seed
 SEED_LIMIT = 1 << 64
+REPS_HELP = "Sampling repetitions per k (default: the fewest whose miss bound is <= 2**-30)."
 
 
 class _DecimalInt(click.ParamType):
@@ -111,6 +112,13 @@ def _one_indexed(subset) -> list[int]:
     return [v + 1 for v in subset]
 
 
+def _exit_no_candidate(cfg: DriverConfig, n: int) -> None:
+    reps = cfg.resolved_repetitions(n)
+    click.echo(f"no side found: every sample at --reps {reps} had fewer than 2 terminals or all {n}; raise --reps",
+               err=True)
+    sys.exit(1)
+
+
 @click.group()
 def main():
     """Nontrivial minimizers of symmetric submodular functions; hypergraph min-cut."""
@@ -119,7 +127,7 @@ def main():
 @main.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=DECIMAL_INT, default=None, help="RNG seed (fallback: ISOCUT_SEED, then 0).")
-@click.option("--reps", type=DECIMAL_INT, default=None, help="Sampling repetitions per k (default: ceil(12 log2 n)).")
+@click.option("--reps", type=DECIMAL_INT, default=None, help=REPS_HELP)
 @click.option("--verify", is_flag=True, help="Cross-check against brute force (n <= 14).")
 @click.option("--json/--text", "as_json", default=True, help="Output format (default JSON).")
 def mincut(file, seed, reps, verify, as_json):
@@ -130,7 +138,10 @@ def mincut(file, seed, reps, verify, as_json):
     h = _load_hypergraph(file)
     cfg = DriverConfig(rng_seed=seed, repetitions_per_k=reps)
     start = time.perf_counter()
-    res = hypergraph_mincut(h, cfg)
+    try:
+        res = hypergraph_mincut(h, cfg)
+    except NoCandidateError:
+        _exit_no_candidate(cfg, h.n)
     elapsed = time.perf_counter() - start
 
     verdict = None
@@ -155,6 +166,8 @@ def mincut(file, seed, reps, verify, as_json):
         "reps": None if res.driver is None else cfg.resolved_repetitions(h.n),
         "k_schedule": schedule,
         "step2_rep_total": res.step2_rep_total,
+        "flow_solves": res.flow_solves,
+        "miss_bound": res.miss_bound,
         "verification": verdict,
     }
     _emit(report, as_json, [
@@ -247,7 +260,7 @@ def gen(model, n, m, max_rank, max_weight, seed):
 @main.command()
 @click.option("--demo", required=True, help="Oracle family: cut:<file> or concave:<n>.")
 @click.option("--seed", type=DECIMAL_INT, default=None)
-@click.option("--reps", type=DECIMAL_INT, default=None)
+@click.option("--reps", type=DECIMAL_INT, default=None, help=REPS_HELP)
 @click.option("--json/--text", "as_json", default=True)
 def sfm(demo, seed, reps, as_json):
     """Nontrivial minimizer demo with the brute-force blackbox; reports query counts."""
@@ -282,7 +295,10 @@ def sfm(demo, seed, reps, as_json):
 
     cfg = DriverConfig(rng_seed=seed, repetitions_per_k=reps)
     start = time.perf_counter()
-    res = find_nontrivial_minimizer(oracle, cfg, BruteForceBlackbox())
+    try:
+        res = find_nontrivial_minimizer(oracle, cfg, BruteForceBlackbox())
+    except NoCandidateError:
+        _exit_no_candidate(cfg, oracle.ground.n)
     elapsed = time.perf_counter() - start
     report = {
         "demo": label,
@@ -294,6 +310,7 @@ def sfm(demo, seed, reps, as_json):
         "trials": res.trials_run,
         "seed": seed,
         "reps": cfg.resolved_repetitions(oracle.ground.n),
+        "miss_bound": res.miss_bound,
         "k_schedule": [r.k for r in res.per_k_breakdown],
         "per_k": [[r.k, r.blackbox_calls, r.best_value] for r in res.per_k_breakdown],
     }

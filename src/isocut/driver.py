@@ -1,15 +1,20 @@
 """Randomized search for the cheapest nontrivial side of a symmetric oracle.
 
-Terminals are sampled at rate 1/k; if k is within a factor 1.5 of the true
-optimal side's size, a sampled terminal set isolates it with constant
-probability, so repeating ceil(12 log2 n) times per k and sweeping k over a
-geometric schedule finds the optimum with high probability.  Every candidate
-the driver returns is a genuine nontrivial side with its exact value, even
-on the unlucky runs where it is not the minimum.
+Terminals are sampled at rate 1/k; a sample isolates an optimal side S when
+it holds exactly one element of S and at least one outside it, or the other
+way round, and then that element's minimum isolating set is an optimal side.
+The chance of this per trial has a closed form, q_k(|S|)
+(:func:`isolation_probability`), so the chance that a sweep of k over a
+geometric schedule misses S is at most prod_k (1 - q_k(|S|))**reps, and the
+default repetitions per k are the fewest whose worst case over |S| is at most
+``MISS_TARGET`` (:func:`miss_bound`).  Every candidate the driver returns is
+a genuine nontrivial side with its exact value, even on the unlucky runs
+where it is not the minimum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -21,20 +26,27 @@ from .core import ElementSubset
 from .isolating import IsolatingStats, TerminalSet, isolating_sets
 
 __all__ = [
-    "REPETITION_CONSTANT",
+    "MISS_TARGET",
+    "NoCandidateError",
     "DriverConfig",
     "AtKResult",
     "MinimizerResult",
     "geometric_schedule",
+    "isolation_probability",
+    "miss_bound",
     "sample_terminals",
     "canonical_side",
     "find_nontrivial_minimizer_at_k",
     "find_nontrivial_minimizer",
 ]
 
-# chosen so a conservative 0.1 per-trial success probability drives the
-# failure rate below 1/n for n >= 4
-REPETITION_CONSTANT = 12
+# the default worst-case chance that a run misses every optimal side; it is
+# below n**-1.5, so below the promised 1/n, for every n up to MAX_VERTICES
+MISS_TARGET = 2**-30
+
+
+class NoCandidateError(RuntimeError):
+    """Every trial of a sweep was skipped (fewer than two terminals, or all n), so no side was seen."""
 
 
 def geometric_schedule(n: int) -> tuple[int, ...]:
@@ -76,9 +88,56 @@ class DriverConfig:
             raise ValueError("repetitions_per_k must be >= 1")
 
     def resolved_repetitions(self, n: int) -> int:
+        """The override, else the fewest repetitions per k with ``miss_bound`` <= ``MISS_TARGET``."""
         if self.repetitions_per_k is not None:
             return self.repetitions_per_k
-        return math.ceil(REPETITION_CONSTANT * math.log2(n))
+        return max(1, math.ceil(math.log(MISS_TARGET) / _worst_log_miss(n)))
+
+
+def isolation_probability(n: int, k: int, s):
+    """q_k(s): the chance that one trial at rate 1/k isolates a given side of size s.
+
+    That is, its sample holds exactly one element of the side and at least one
+    outside it, or the other way round, and the driver does not skip it.
+    ``s`` may be an integer array; the result is a float array of its shape.
+    """
+    s, p = np.asarray(s), 1 / k
+    if not np.all((1 <= s) & (s < n)):
+        raise ValueError(f"need 1 <= s < n for every side size s, got n={n}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.exp(np.arange(n - 1.0) * np.log1p(-p))  # r[t] = (1 - p)**t
+    r[0] = 1.0  # 0**0 at k = 1
+    # a(t) = t p (1 - p)**(t - 1) (1 - (1 - p)**(n - t)); with u and v the
+    # powers t - 1 at t = s and t = n - s, q = a(s) + a(n - s) - s (n - s) p**2 u v
+    u, v = r[s - 1], r[n - s - 1]
+    q = p * (s * u * (1 - (1 - p) * v) + (n - s) * v * (1 - (1 - p) * u) - p * s * (n - s) * u * v)
+    if n > 2:  # the full sample, which isolates a singleton, is skipped
+        q = q - np.where((s == 1) | (s == n - 1), p**n, 0.0)
+    return q
+
+
+def _log_miss(n: int, s):
+    """ln prod_k (1 - q_k(s)) over the schedule of n: one repetition per k."""
+    with np.errstate(divide="ignore"):  # q = 1 at n = 2, k = 1
+        return sum(np.log1p(-isolation_probability(n, k, s)) for k in geometric_schedule(n))
+
+
+@functools.lru_cache
+def _worst_log_miss(n: int) -> float:
+    if n < 2:
+        raise ValueError("driver needs a ground set with n >= 2")
+    return float(np.max(_log_miss(n, np.arange(1, n // 2 + 1))))
+
+
+def miss_bound(n: int, reps: int, s: Optional[int] = None) -> float:
+    """The chance that no trial of a run with ``reps`` trials per k isolates a given optimal side.
+
+    It is prod_k (1 - q_k(s))**reps over ``geometric_schedule(n)`` for a side
+    of size ``s``, and the worst case over every size when ``s`` is None; the
+    chance that the run misses the minimum is at most this.
+    """
+    log = _worst_log_miss(n) if s is None else float(_log_miss(n, s))
+    return math.exp(reps * log)
 
 
 def sample_terminals(n: int, k: int, rng: np.random.Generator) -> ElementSubset:
@@ -115,13 +174,18 @@ class AtKResult:
 
 @dataclass(frozen=True)
 class MinimizerResult:
-    """Best nontrivial side seen across the whole sweep, plus accounting."""
+    """Best nontrivial side seen across the whole sweep, plus accounting.
+
+    ``miss_bound`` is :func:`miss_bound` at the repetitions used: at most this
+    chance that the sweep missed the minimum.
+    """
 
     best_set: ElementSubset
     best_value: int
     trials_run: int
     blackbox_calls_total: int
     per_k_breakdown: tuple[AtKResult, ...]
+    miss_bound: float
 
 
 def _candidate_key(candidate: tuple[int, ElementSubset]) -> tuple[int, int, int]:
@@ -186,7 +250,7 @@ def find_nontrivial_minimizer(f, cfg: DriverConfig, blackbox) -> MinimizerResult
     per_k = [find_nontrivial_minimizer_at_k(f, k, cfg, blackbox) for k in geometric_schedule(n)]
     found = [(r.best_value, r.best_set) for r in per_k if r.best_set is not None]
     if not found:
-        raise RuntimeError("no trial produced a candidate; increase repetitions_per_k")
+        raise NoCandidateError("no trial produced a candidate; increase repetitions_per_k")
     best_value, best_set = min(found, key=_candidate_key)
     return MinimizerResult(
         best_set=best_set,
@@ -194,4 +258,5 @@ def find_nontrivial_minimizer(f, cfg: DriverConfig, blackbox) -> MinimizerResult
         trials_run=sum(r.trials_run for r in per_k),
         blackbox_calls_total=sum(r.blackbox_calls for r in per_k),
         per_k_breakdown=tuple(per_k),
+        miss_bound=miss_bound(n, cfg.resolved_repetitions(n)),
     )

@@ -470,6 +470,8 @@ class HypergraphMincutResult:
 
     ``blackbox_calls`` counts calls as the paper charges them; ``flow_solves``
     counts the max-flow solves actually run, one per distinct call.
+    ``miss_bound`` is the driver's bound on the chance of missing the minimum
+    (0.0 on a disconnected input, which is answered exactly).
     """
 
     value: int
@@ -482,6 +484,7 @@ class HypergraphMincutResult:
     trials: int
     oracle_queries: int
     step2_rep_total: int
+    miss_bound: float
     driver: Optional[MinimizerResult]
 
 
@@ -506,7 +509,7 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
         return HypergraphMincutResult(
             value=0, side=side, n=h.n, m=h.m, p=h.p,
             blackbox_calls=0, flow_solves=0, trials=0, oracle_queries=0,
-            step2_rep_total=0, driver=None,
+            step2_rep_total=0, miss_bound=0.0, driver=None,
         )
 
     oracle = CutOracle(h)
@@ -523,5 +526,6 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
         trials=res.trials_run,
         oracle_queries=oracle.query_count,
         step2_rep_total=sum(s.step2_rep_total for r in res.per_k_breakdown for s in r.trial_stats),
+        miss_bound=res.miss_bound,
         driver=res,
     )

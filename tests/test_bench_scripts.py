@@ -25,11 +25,13 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "python", "numpy"}),
     ("bench_calls.py", [], {"rng_seed", "rows", "paper_calls_exponent_vs_log2_n",
                             "charged_calls_exponent_vs_n_log2_n", "python", "numpy"}),
+    ("bench_missrate.py", ["--runs", "3", "--draws", "20"], {"rng_seed", "end_to_end", "all_within_bound_plus_3se",
+                                                          "sampling", "sampling_max_abs_z", "python", "numpy"}),
 ])
 def test_tiny_run_ends_with_strict_json_record(script, args, keys, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # from a scratch directory: bench_calls.py writes its record to the current one
+    # from a temporary directory: bench_calls.py and bench_missrate.py write their records to the current one
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / script), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
@@ -50,7 +52,7 @@ def load_bench_calls():
     return module
 
 
-@pytest.mark.parametrize("n, calls, trials", [(30, 3791, 472), (60, 8694, 710)])
+@pytest.mark.parametrize("n, calls, trials", [(30, 798, 96), (60, 1323, 110)])
 def test_call_replay_matches_the_driver(n, calls, trials):
     # the replay draws no graph, so any connected input must give its counts
     bench_calls = load_bench_calls()

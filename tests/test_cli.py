@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from isocut import cli
+from isocut import DriverConfig, cli, hypergraph_mincut, miss_bound
 from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, parse_hypergraph
 
 DUMBBELL = """7 6 1
@@ -22,6 +22,13 @@ STAR = """3 4 1
 1 1 2
 1 1 3
 1 1 4
+"""
+
+# the path 1-2-3: at one repetition per k, seed 0 samples fewer than two
+# terminals at both k = 2 and k = 3
+PATH3 = """2 3
+1 2
+2 3
 """
 
 
@@ -74,8 +81,30 @@ class TestMincut:
         assert result.exit_code == 0
         assert list(json.loads(result.stdout)) == [
             "min_cut_value", "side", "n", "m", "p", "blackbox_calls", "seed", "trials",
-            "reps", "k_schedule", "step2_rep_total", "verification",
+            "reps", "k_schedule", "step2_rep_total", "flow_solves", "miss_bound", "verification",
         ]
+
+    def test_json_reports_the_library_counts_and_bound(self, runner, tmp_path):
+        path = write(tmp_path, "dumbbell.hgr", DUMBBELL)
+        for args, reps in ([], 17), (["--reps", "2"], 2):
+            report = json.loads(runner.invoke(cli.main, ["mincut", path, "--seed", "1", *args]).stdout)
+            res = hypergraph_mincut(parse_hypergraph(DUMBBELL), DriverConfig(rng_seed=1, repetitions_per_k=reps))
+            assert report["reps"] == reps
+            assert report["flow_solves"] == res.flow_solves > 0
+            assert report["miss_bound"] == res.miss_bound == miss_bound(6, reps)
+
+    def test_disconnected_input_reports_a_zero_bound(self, runner, tmp_path):
+        path = write(tmp_path, "two.hgr", "1 4\n1 2\n")
+        report = json.loads(runner.invoke(cli.main, ["mincut", path]).stdout)
+        assert (report["min_cut_value"], report["reps"], report["flow_solves"], report["miss_bound"]) == (0, None, 0, 0.0)
+
+    def test_too_few_repetitions_exit_1_with_a_hint(self, runner, tmp_path):
+        path = write(tmp_path, "path3.hgr", PATH3)
+        result = runner.invoke(cli.main, ["mincut", path, "--reps", "1", "--seed", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert result.stderr.count("\n") == 1 and "raise --reps" in result.stderr
+        assert result.stdout == ""
 
     def test_parse_error_exits_1_with_line(self, runner, tmp_path):
         path = write(tmp_path, "bad.hgr", "2 3\n1 2\n9 9\n")
@@ -374,6 +403,18 @@ class TestSfm:
                 result = runner.invoke(cli.main, ["sfm", "--demo", demo])
                 assert result.exit_code == 2, demo
                 assert f"sfm demo needs n <= 14, the brute-force guard of mincut --verify, got n={n}" in result.stderr
+
+    def test_too_few_repetitions_exit_1_with_a_hint(self, runner):
+        result = runner.invoke(cli.main, ["sfm", "--demo", "concave:3", "--reps", "1", "--seed", "0"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, not a traceback
+        assert result.stderr.count("\n") == 1 and "raise --reps" in result.stderr
+        assert result.stdout == ""
+
+    def test_json_reports_the_bound(self, runner):
+        report = json.loads(runner.invoke(cli.main, ["sfm", "--demo", "concave:8", "--seed", "0"]).stdout)
+        assert report["reps"] == 14
+        assert report["miss_bound"] == miss_bound(8, 14) <= 2**-30
 
     def test_largest_demo_runs(self, runner):
         result = runner.invoke(cli.main, ["sfm", "--demo", "concave:14", "--reps", "1", "--seed", "0"])

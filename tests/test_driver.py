@@ -4,23 +4,29 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isocut import (
+    MISS_TARGET,
     BruteForceBlackbox,
     CutOracle,
     DriverConfig,
     ElementSubset,
     GroundSet,
     Hypergraph,
+    NoCandidateError,
     SubmodularOracle,
     canonical_side,
     find_nontrivial_minimizer,
     find_nontrivial_minimizer_at_k,
     geometric_schedule,
+    hypergraph_mincut,
+    isolation_probability,
+    miss_bound,
     sample_terminals,
 )
 from isocut.hypergraph import MAX_VERTICES
@@ -63,9 +69,15 @@ class TestSchedule:
 
 class TestConfig:
     def test_default_repetitions(self):
-        assert DriverConfig().resolved_repetitions(2) == 12
-        assert DriverConfig().resolved_repetitions(8) == 36
-        assert DriverConfig().resolved_repetitions(12) == math.ceil(12 * math.log2(12))
+        # the fewest with a worst-case miss bound <= 2**-30; at n = 2, k = 1 always isolates
+        table = {2: 1, 3: 47, 12: 13, 16: 13, 60: 11, 240: 11, 1000: 11}
+        assert {n: DriverConfig().resolved_repetitions(n) for n in table} == table
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12, 16, 33, 60, 240, 1000])
+    def test_default_repetitions_are_the_fewest_that_meet_the_target(self, n):
+        reps = DriverConfig().resolved_repetitions(n)
+        assert miss_bound(n, reps) <= MISS_TARGET
+        assert reps == 1 or miss_bound(n, reps - 1) > MISS_TARGET
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,6 +98,61 @@ class TestConfig:
         cfg = DriverConfig(rng_seed=np.uint64(7), repetitions_per_k=np.int32(3))
         assert (cfg.rng_seed, cfg.repetitions_per_k) == (7, 3)
         assert type(cfg.rng_seed) is type(cfg.repetitions_per_k) is int
+
+
+def exact_isolation_probability(n: int, k: int, s: int) -> Fraction:
+    """P(a trial isolates the side 0..s-1), summed over all 2**n samples."""
+    p, side, total = Fraction(1, k), (1 << s) - 1, Fraction(0)
+    for mask in range(1 << n):
+        r, inside = mask.bit_count(), (mask & side).bit_count()
+        if r < 2 or (r == n and n > 2):  # the driver's skip rule
+            continue
+        if inside == 1 or r - inside == 1:
+            total += p**r * (1 - p) ** (n - r)
+    return total
+
+
+class TestMissBound:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_isolation_probability_matches_enumeration(self, n):
+        for k in range(1, n + 1):
+            sizes = list(range(1, n))
+            q = isolation_probability(n, k, sizes)
+            for s, q_s in zip(sizes, q):
+                assert q_s == pytest.approx(float(exact_isolation_probability(n, k, s)), abs=1e-12), (k, s)
+
+    def test_isolation_probability_rejects_trivial_sides(self):
+        for s in (0, 12, [1, 12]):
+            with pytest.raises(ValueError, match="1 <= s < n"):
+                isolation_probability(12, 3, s)
+
+    def test_bound_is_the_product_over_the_schedule(self):
+        n, reps = 12, 3
+        for s in range(1, n):
+            expect = math.prod((1 - float(isolation_probability(n, k, s))) ** reps for k in geometric_schedule(n))
+            assert miss_bound(n, reps, s) == pytest.approx(expect, rel=1e-12)
+        assert miss_bound(n, reps) == max(miss_bound(n, reps, s) for s in range(1, n))
+
+    def test_n_two_cannot_miss(self):
+        assert miss_bound(2, 1) == 0.0
+
+    def test_results_report_the_bound_of_the_repetitions_run(self):
+        f = CutOracle(dumbbell())
+        for cfg in (DriverConfig(rng_seed=3), DriverConfig(rng_seed=3, repetitions_per_k=2)):
+            res = find_nontrivial_minimizer(f, cfg, BruteForceBlackbox())
+            assert res.miss_bound == miss_bound(6, cfg.resolved_repetitions(6))
+        assert res.miss_bound > MISS_TARGET  # 2 repetitions per k are below the default
+
+    def test_seeded_miss_rate_at_one_repetition_is_within_the_bound(self):
+        # two 6-vertex paths of weight 3 joined by one unit edge: the only
+        # minimum is one path, of value 1 and size n/2
+        n, runs = 12, 400
+        h = Hypergraph(n, [((v, v + 1), 3) for v in range(n - 1) if v != 5] + [((0, 6), 1)])
+        assert brute_min_nontrivial(h) == 1
+        misses = sum(hypergraph_mincut(h, DriverConfig(rng_seed=seed, repetitions_per_k=1)).value != 1
+                     for seed in range(runs))
+        rate = misses / runs
+        assert rate <= miss_bound(n, 1, 6) + 3 * math.sqrt(rate * (1 - rate) / runs)
 
 
 class TestSampling:
@@ -265,6 +332,12 @@ class TestSweep:
         res = find_nontrivial_minimizer(f, DriverConfig(rng_seed=7), BruteForceBlackbox())
         assert res.best_value == 1
         assert len(res.best_set) == 1
+
+    def test_all_trials_skipped_raises_no_candidate(self):
+        # n = 3 at one repetition: seed 0 samples one terminal at k = 2 and none at k = 3
+        f = SubmodularOracle(GroundSet(3), lambda s: min(len(s), 3 - len(s)), symmetric=True)
+        with pytest.raises(NoCandidateError, match="no trial produced a candidate"):
+            find_nontrivial_minimizer(f, DriverConfig(rng_seed=0, repetitions_per_k=1), BruteForceBlackbox())
 
     def test_small_ground_rejected(self):
         f = SubmodularOracle(GroundSet(1), lambda s: 0, symmetric=True)

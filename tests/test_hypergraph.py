@@ -1,5 +1,7 @@
 """Hypergraph model, file formats, flow reduction, and global min cut."""
 
+import math
+
 import pytest
 
 import isocut.hypergraph
@@ -710,7 +712,9 @@ class TestGlobalMincut:
 
     # (n, seed, value, side mask, blackbox_calls, flow_solves, step2_rep_total)
     # of seeded gen_planted runs, recorded from an earlier version of the flow
-    # reduction and the sweep; a faster flow path must not move any of them
+    # reduction and the sweep at its then default of ceil(12 log2 n)
+    # repetitions per k, now passed explicitly; a faster flow path must not
+    # move any of them
     @pytest.mark.parametrize("n, seed, value, side, calls, solves, rep_total", [
         (12, 1, 4, 1, 1102, 498, 13926),
         (12, 2, 2, 256, 1033, 458, 12451),
@@ -721,6 +725,6 @@ class TestGlobalMincut:
     ])
     def test_golden_runs(self, n, seed, value, side, calls, solves, rep_total):
         h = gen_planted(n, 3 * n, 3, 10, philox(seed))[0]
-        res = hypergraph_mincut(h, DriverConfig(rng_seed=seed))
+        res = hypergraph_mincut(h, DriverConfig(rng_seed=seed, repetitions_per_k=math.ceil(12 * math.log2(n))))
         assert (res.value, res.side.mask, res.blackbox_calls, res.flow_solves, res.step2_rep_total) == (
             value, side, calls, solves, rep_total)
