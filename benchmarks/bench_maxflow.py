@@ -3,18 +3,22 @@
 
 Builds a seeded batch of random reduced hypergraph networks with
 ``hypergraph._flow_network``, the builder the hypergraph blackbox uses (arc
-pairs from one gadget rule, then every adjacency chain linked in one loop),
-and solves each with ``solve_max_flow`` from local vertex 0 to 1, the
-way the blackbox does: its last BFS levels are the min-cut side, so no
-second BFS is timed.  Building and solving are timed apart, over ``PASSES``
-passes in this one process, so that the spread between processes does not
-enter a comparison; a solve consumes its network's capacities, so each pass
-builds the networks afresh.  The last line is one JSON record: the
-package's backend, the solve count, microseconds per build and per solve in
-the median pass, the mean node and residual-arc counts per network, and the
-Python and numpy versions.  Run directly:
+pairs from two rules, a complete graph on each image of two or three
+vertices and a node gadget on each larger one, then every adjacency chain
+linked in one loop), and solves each with ``solve_max_flow`` from local
+vertex 0 to 1, the way the blackbox does: its last BFS levels are the
+min-cut side, so no second BFS is timed.  Building and solving are timed
+apart, over ``PASSES`` passes in this one process, so that the spread
+between processes does not enter a comparison; a solve consumes its
+network's capacities, so each pass builds the networks afresh.  The record
+holds the package's backend, the solve count, microseconds per build and
+per solve in the median pass, the mean node and residual-arc counts per
+network, and the Python and numpy versions.  Run from the repository root:
 
-    python benchmarks/bench_maxflow.py [--solves 400]
+    python benchmarks/bench_maxflow.py [--solves 400] [--seed 0]
+
+It writes the record to ``BENCH_maxflow.json`` in the current directory and
+prints it as its last line.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from isocut.generate import gen_uniform
 from isocut.hypergraph import _flow_network
 
 PASSES = 15  # timed build-and-solve passes; the median of each is reported
+OUTPUT = "BENCH_maxflow.json"
 
 
 def make_queries(count: int, rng: np.random.Generator):
@@ -84,7 +89,7 @@ def main() -> None:
     print(f"{args.solves} reduced networks, {nodes_per_solve:.1f} nodes and {arcs_per_solve:.1f} arcs on average,"
           f" median of {PASSES} passes\n")
     print(f"{BACKEND:>8}: {us_per_build:9.1f} us/build   {us_per_solve:9.1f} us/solve")
-    print(json.dumps({
+    record = {
         "backend": BACKEND,
         "solves": args.solves,
         "us_per_build": us_per_build,
@@ -93,7 +98,11 @@ def main() -> None:
         "arcs_per_solve": arcs_per_solve,
         "python": platform.python_version(),
         "numpy": np.__version__,
-    }))
+    }
+    with open(OUTPUT, "w") as out:
+        json.dump(record, out, indent=1)
+        out.write("\n")
+    print(json.dumps(record))
 
 
 if __name__ == "__main__":

@@ -8,11 +8,15 @@ Two oracle kinds run on the same contractions: the cut function of a random
 hypergraph, and the concave-of-cardinality function min(|S|, n - |S|).
 Oracles and contractions are built outside the timed region, and each kind
 runs ``PASSES`` timed passes over them in this one process, so that the
-spread between processes does not enter a comparison.  The last line is one
-JSON record: oracle queries per pass and microseconds per query in the
-median pass for each kind, and the Python and numpy versions.  Run directly:
+spread between processes does not enter a comparison.  The record holds
+oracle queries per pass and microseconds per query in the median pass for
+each kind, and the Python and numpy versions.  Run from the repository
+root:
 
     python benchmarks/bench_sfm.py [--calls 20] [--seed 0]
+
+It writes the record to ``BENCH_sfm.json`` in the current directory and
+prints it as its last line.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from isocut import CutOracle, GroundSet, SubmodularOracle, contract, sfm_brutefo
 from isocut.generate import gen_uniform
 
 PASSES = 15  # timed passes per oracle kind; the median pass is reported
+OUTPUT = "BENCH_sfm.json"
 
 
 def make_jobs(count: int, rng: np.random.Generator):
@@ -81,12 +86,16 @@ def main() -> None:
     queries, us_per_query = {}, {}
     for kind in ("cut", "concave"):
         queries[kind], us_per_query[kind] = run_kind(kind, jobs)
-    print(json.dumps({
+    record = {
         "queries": queries,
         "us_per_query": us_per_query,
         "python": platform.python_version(),
         "numpy": np.__version__,
-    }))
+    }
+    with open(OUTPUT, "w") as out:
+        json.dump(record, out, indent=1)
+        out.write("\n")
+    print(json.dumps(record))
 
 
 if __name__ == "__main__":

@@ -26,10 +26,11 @@ both BFS and the blocking flow only follow arcs into an unlabelled node or
 one level up.
 
 ``INF`` is an ordinary capacity, large enough never to saturate: a
-``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60, so
-no flow reaches 2^60, and every source-sink path of a reduced hypergraph
-network crosses a finite edge arc: every arc out of the source is the
-weight arc of an edge holding it.
+``Hypergraph`` keeps its total weight below ``MAX_TOTAL_WEIGHT`` = 2^60,
+and a cut of a reduced hypergraph network costs twice the hypergraph cut it
+stands for, so no flow reaches 2^61; and every source-sink path of such a
+network crosses a finite edge arc: every arc out of the source is the weight
+arc or a complete-graph arc of an edge holding it.
 """
 
 from __future__ import annotations

@@ -6,16 +6,24 @@ contraction.  ``contracted_instance`` validates the sides once, reads each
 edge bitmask once and merges edges on one int key, the edge's free vertices
 shifted left by two plus a bit each for meeting either side;
 ``_flow_network`` writes the query's network straight from those images,
-with no arc list in between.  Each contracted edge of weight ``w`` becomes
-the smallest gadget that costs ``w`` in a minimum cut exactly when the edge
-crosses the vertex bipartition:
+with no arc list in between.  Capacities are scaled by two, so that each
+cut of the network costs exactly twice the hypergraph cut it stands for and
+every capacity stays an integer; ``_flow_cut`` halves the result.  Each
+contracted edge of weight ``w`` becomes the smallest gadget that costs
+``2w`` in a minimum cut exactly when the edge crosses the vertex
+bipartition:
 
-- an edge holding both 0 and 1 crosses every bipartition, so ``w`` is added
-  to a constant and no arc is built;
-- an edge of two vertices is one arc pair: ``0 -> v`` or ``v -> 1`` of
-  capacity ``w``, or ``u <-> v`` of ``w`` each way;
-- any larger edge is one weight arc ``a -> b`` of capacity ``w``.  ``a`` is
-  0 if the edge holds 0 and otherwise a new in-node, with an uncuttable
+- an edge holding both 0 and 1 crosses every bipartition, so ``2w`` is
+  added to a constant and no arc is built;
+- an edge of two or three vertices is the complete graph on its vertices,
+  with ``2w / (r - 1)`` on each of its pairs: ``2w`` on a pair and ``w`` on
+  each side of a triangle, since every split of three vertices cuts two of
+  the three sides (Veldt, Benson & Kleinberg, SIAM Review 2022).  A pair
+  holding 0 is the arc ``0 -> v``, one holding 1 the arc ``v -> 1``, and
+  one of two free vertices ``u <-> v``, of that capacity each way.  No node
+  is added;
+- any larger edge is one weight arc ``a -> b`` of capacity ``2w``.  ``a``
+  is 0 if the edge holds 0 and otherwise a new in-node, with an uncuttable
   arc ``v -> a`` from each free ``v``; ``b`` is 1 if the edge holds 1 and
   otherwise a new out-node, with an uncuttable arc ``b -> v`` to each free
   ``v``.  With both nodes new this is the split-vertex gadget (Lawler,
@@ -349,12 +357,15 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
     Returns ``(uncut, p, local, node_count, to, cap, head, nxt)``.  Nodes 0
     and 1 are the forced sides, and ``local`` maps each free vertex ``u``,
     keyed by its bit ``1 << u``, to its node: 2, 3, ... in ascending order
-    of ``u``.  Then come the new in- and out-nodes of the gadgets (see the
-    module docstring), in image order.  ``uncut`` is the weight of the
-    images holding both 0 and 1, which every source side cuts, and ``p`` is
-    the sum of the image sizes.  Each gadget first writes its arc pairs,
-    ``to`` and ``cap`` only; one loop then links every arc into its tail's
-    chain, in slot order, except the arcs into 0.
+    of ``u``.  Then come the new in- and out-nodes of the gadgets of four or
+    more vertices (see the module docstring), in image order; an input of
+    rank at most 3 adds none.  Capacities are scaled by two, so a cut of the
+    network costs twice the hypergraph cut it stands for.  ``uncut`` is
+    twice the weight of the images holding both 0 and 1, which every source
+    side cuts: ``(uncut + flow) >> 1`` is the minimum cut.  ``p`` is the sum
+    of the image sizes.  Each image first writes its arc pairs, ``to`` and
+    ``cap`` only; one loop then links every arc into its tail's chain, in
+    slot order, except the arcs into 0.
     """
     free, images = contracted_instance(h, forced_in, forced_out)
     local = {}
@@ -376,18 +387,37 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
             continue
         p += size
         if key & 3 == 3:
-            uncut += w
+            uncut += w << 1
         elif size == 2:
+            c = w << 1
             if key & 2:  # 0 -> v
                 to += (local[part], 0)
-                cap += (w, 0)
+                cap += (c, 0)
             elif key & 1:  # v -> 1
                 to += (1, local[part])
-                cap += (w, 0)
+                cap += (c, 0)
             else:  # u <-> v
                 low = part & -part
                 to += (local[part ^ low], local[low])
-                cap += (w, w)
+                cap += (c, c)
+        elif size == 3:  # a triangle of w on each side
+            low = part & -part
+            x = local[low]
+            part ^= low
+            if key & 2:  # 0 -> x, 0 -> y, x <-> y
+                y = local[part]
+                to += (x, 0, y, 0, y, x)
+                cap += (w, 0, w, 0, w, w)
+            elif key & 1:  # x -> 1, y -> 1, x <-> y
+                y = local[part]
+                to += (1, x, 1, y, y, x)
+                cap += (w, 0, w, 0, w, w)
+            else:  # x <-> y, x <-> z, y <-> z
+                low = part & -part
+                y = local[low]
+                z = local[part ^ low]
+                to += (y, x, z, x, z, y)
+                cap += (w, w, w, w, w, w)
         else:  # weight arc a -> b: a is 0 or a new in-node, b is 1 or a new out-node
             a = 0
             if not key & 2:
@@ -398,7 +428,7 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
                 b = node_count
                 node_count += 1
             to += (b, a)
-            cap += (w, 0)
+            cap += (w << 1, 0)
             while part:
                 low = part & -part
                 part ^= low
@@ -430,7 +460,7 @@ def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset
     for bit, i in local.items():
         if level[i] >= 0:
             mask |= bit
-    return SfmResult(_unchecked_subset(h.n, mask), uncut + flow, p)
+    return SfmResult(_unchecked_subset(h.n, mask), (uncut + flow) >> 1, p)
 
 
 class HypergraphFlowBlackbox:

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_tiny_run_ends_with_strict_json_record(script, args, keys, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    # from a temporary directory: bench_calls.py and bench_missrate.py write their records to the current one
+    # from a temporary directory: each script writes its BENCH_<name>.json record to the current one
     proc = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / script), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
@@ -39,6 +39,8 @@ def test_tiny_run_ends_with_strict_json_record(script, args, keys, tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = strict_json(proc.stdout.splitlines()[-1])
     assert set(record) == keys
+    written = tmp_path / f"BENCH_{script[len('bench_'):-len('.py')]}.json"
+    assert strict_json(written.read_text()) == record
     if script == "bench_maxflow.py":
         assert record["solves"] == 5
         for key in ("us_per_build", "us_per_solve"):

@@ -1,5 +1,6 @@
 """Hypergraph model, file formats, flow reduction, and global min cut."""
 
+import itertools
 import math
 
 import pytest
@@ -224,6 +225,15 @@ def random_sides(rng, n: int) -> tuple[int, int]:
     return sum(1 << u for u in perm[:k_in]), sum(1 << u for u in perm[k_in:k_in + k_out])
 
 
+def mixed_sides(rng, n: int, trial: int) -> tuple[int, int]:
+    """One vertex a side on even trials, which leaves large free images
+    common, and ``random_sides`` on odd ones."""
+    if trial % 2:
+        return random_sides(rng, n)
+    picks = [int(x) for x in rng.choice(n, size=2, replace=False)]
+    return 1 << picks[0], 1 << picks[1]
+
+
 def reference_images(h: Hypergraph, in_mask: int, out_mask: int):
     """(sorted local images with weights, p) by the set rule: each vertex maps
     to 0 (forced in), 1 (forced out) or its local id, images of fewer than
@@ -382,11 +392,7 @@ class TestFlowBlackbox:
         for trial in range(80):
             h = random_hypergraph(rng, n_lo=3, n_hi=9)
             f = CutOracle(h)
-            if trial % 2:
-                in_mask, out_mask = random_sides(rng, h.n)
-            else:
-                picks = [int(x) for x in rng.choice(h.n, size=2, replace=False)]
-                in_mask, out_mask = 1 << picks[0], 1 << picks[1]
+            in_mask, out_mask = mixed_sides(rng, h.n, trial)
             res = HypergraphFlowBlackbox(h)(f, ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask))
             value, side = brute_st_cut(h, in_mask, out_mask)
             assert (res.value, res.minimizer.mask) == (value, side & ~in_mask)
@@ -421,12 +427,16 @@ class TestFlowBlackbox:
 
 
 def edge_class(image: tuple[int, ...]) -> str:
-    """Which gadget a sorted contracted image gets; local 0 is the source, 1 the sink."""
+    """Which rule a sorted contracted image gets; local 0 is the source, 1 the sink.
+
+    Images of two and three vertices are complete graphs, larger ones gadgets.
+    """
     if image[:2] == (0, 1):
         return "both terminals"
-    if len(image) == 2:
-        return {0: "source pair", 1: "sink pair"}.get(image[0], "free pair")
-    return {0: "source node", 1: "sink node"}.get(image[0], "split pair")
+    end = {0: "source", 1: "sink"}.get(image[0], "free")
+    if len(image) < 4:
+        return f"{end} {'pair' if len(image) == 2 else 'triangle'}"
+    return {"source": "source node", "sink": "sink node", "free": "split pair"}[end]
 
 
 class TestReducedNetwork:
@@ -442,18 +452,26 @@ class TestReducedNetwork:
             ((1, 2), w - 2),  # source pair
             ((3, 6), w - 3),  # sink pair
             ((2, 3), w - 4),  # free pair
-            ((1, 4, 5), w - 5),  # source node
-            ((2, 5, 7), w - 6),  # sink node
-            ((2, 4, 5), w - 7),  # split pair
+            ((1, 4, 5), w - 5),  # source triangle
+            ((2, 5, 7), w - 6),  # sink triangle
+            ((2, 4, 5), w - 7),  # free triangle
+            ((1, 2, 3, 4), w - 8),  # source node
+            ((3, 4, 5, 6), w - 9),  # sink node
+            ((2, 3, 4, 5), w - 10),  # split pair
         ])
         forced_in, forced_out = ElementSubset.of(8, [0, 1]), ElementSubset.of(8, [6, 7])
         ci = contracted_instance(h, forced_in, forced_out)
         uncut, p, _, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
-        assert (uncut, p) == (2 * w - 1, rep_size(ci))
+        assert (uncut, p) == (2 * (2 * w - 1), rep_size(ci))
+        # no node for a triangle, one per one-node gadget, two per split gadget
         assert node_count == local_n(ci) + 1 + 1 + 2
-        # one arc pair per two-vertex image, one per vertex of a one-node
-        # gadget, 2r + 1 per split gadget
-        assert len(to) == 2 * (3 + 3 + 3 + 7)
+        # one arc pair per two-vertex image, three per triangle, one per
+        # vertex of a one-node gadget, 2r + 1 per split gadget
+        assert len(to) == 2 * (3 + 3 * 3 + 4 + 4 + 9)
+        # capacities are doubled, so a triangle side carries the edge weight
+        assert sorted(c for c in cap if c not in (0, INF)) == sorted(
+            [2 * (w - 2), 2 * (w - 3)] + [2 * (w - 4)] * 2 + [w - 5] * 4 + [w - 6] * 4 + [w - 7] * 6
+            + [2 * (w - 8), 2 * (w - 9), 2 * (w - 10)])
         res = _flow_cut(h, forced_in, forced_out)
         value, side = brute_st_cut(h, forced_in.mask, forced_out.mask)
         assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~forced_in.mask, rep_size(ci))
@@ -472,16 +490,16 @@ class TestReducedNetwork:
             res = _flow_cut(h, forced_in, forced_out)
             value, side = brute_st_cut(h, in_mask, out_mask)
             assert (res.value, res.minimizer.mask, res.rep_size) == (value, side & ~in_mask, rep_size(ci))
-        assert len(seen) == 7
+        assert len(seen) == 10
 
     def test_network_matches_a_reference_packing(self):
-        # the builder against the gadget rules packed with
-        # build_forward_star (every arc linked), and against enumeration
+        # the builder against the complete-graph and gadget rules packed
+        # with build_forward_star (every arc linked), and against enumeration
         rng = philox(53)
         seen = set()
-        for _ in range(150):
+        for trial in range(150):
             h = random_hypergraph(rng, n_lo=3, n_hi=10, max_rank=5, max_weight=self.WEIGHT)
-            in_mask, out_mask = random_sides(rng, h.n)
+            in_mask, out_mask = mixed_sides(rng, h.n, trial)
             forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
             ci = contracted_instance(h, forced_in, forced_out)
             seen.update(edge_class(image) for image, _ in local_images(ci))
@@ -499,8 +517,57 @@ class TestReducedNetwork:
             side = sum(bit for bit, i in local.items() if level[i] >= 0)
             ref_side = sum(1 << u for i, u in enumerate(free_ids(ci), 2) if ref_level[i] >= 0)
             value, brute_side = brute_st_cut(h, in_mask, out_mask)
-            assert (uncut + flow, side) == (ref_uncut + ref_flow, ref_side) == (value, brute_side & ~in_mask)
-        assert len(seen) == 7
+            # the network cuts cost twice the hypergraph cuts
+            assert (uncut + flow, side) == (ref_uncut + ref_flow, ref_side) == (2 * value, brute_side & ~in_mask)
+        assert len(seen) == 10
+
+    def test_rank_three_inputs_add_no_node(self):
+        # every image has at most three vertices, so the network is the
+        # local vertices alone, one arc pair per pair of vertices in an image
+        rng = philox(67)
+        for _ in range(60):
+            h = random_hypergraph(rng, n_lo=3, n_hi=10, max_rank=3)
+            in_mask, out_mask = random_sides(rng, h.n)
+            forced_in, forced_out = ElementSubset(h.n, in_mask), ElementSubset(h.n, out_mask)
+            ci = contracted_instance(h, forced_in, forced_out)
+            _, _, _, node_count, to, *_ = _flow_network(h, forced_in, forced_out)
+            assert node_count == 2 + ci.free.bit_count()
+            pairs = sum(math.comb(len(image), 2) for image, _ in local_images(ci) if image[:2] != (0, 1))
+            assert len(to) == 2 * pairs
+
+    def test_odd_triangle_weights_near_the_limit_stay_exact(self):
+        # a triangle side carries the whole weight of its edge and every
+        # other capacity is doubled, so odd weights need no rounding; the
+        # weight is mostly on rank-3 edges and totals MAX_TOTAL_WEIGHT - 1,
+        # and the rank-4 and rank-5 edges bring INF arcs
+        rng = philox(71)
+        odd_triangles = with_inf = 0
+        for trial in range(40):
+            n = int(rng.integers(6, 10))
+            small = [(tuple(int(v) for v in rng.choice(n, size=r, replace=False)), int(rng.integers(1, 50)) * 2)
+                     for r in (2, 4, 5, 4)]
+            triples = set()
+            while len(triples) < 5:
+                triples.add(tuple(sorted(int(v) for v in rng.choice(n, size=3, replace=False))))
+            # four odd weights, and the fifth odd too: the small weights are even
+            big = [int(rng.integers(1, MAX_TOTAL_WEIGHT >> 4)) | 1 for _ in range(4)]
+            big.append(MAX_TOTAL_WEIGHT - 1 - sum(w for _, w in small) - sum(big))
+            h = Hypergraph(n, small + list(zip(sorted(triples), big)))
+            assert sum(w for _, w in h.edges) == MAX_TOTAL_WEIGHT - 1
+            in_mask, out_mask = mixed_sides(rng, n, trial)
+            forced_in, forced_out = ElementSubset(n, in_mask), ElementSubset(n, out_mask)
+            ci = contracted_instance(h, forced_in, forced_out)
+            odd_triangles += sum(len(image) == 3 and w % 2 for image, w in local_images(ci))
+            uncut, _, _, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
+            inf_slots = [a for a, c in enumerate(cap) if c == INF]
+            with_inf += bool(inf_slots)
+            flow, _ = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
+            assert all(cap[a] > 0 for a in inf_slots)
+            res = _flow_cut(h, forced_in, forced_out)
+            value, side = brute_st_cut(h, in_mask, out_mask)
+            assert uncut + flow == 2 * value
+            assert (res.value, res.minimizer.mask) == (value, side & ~in_mask)
+        assert odd_triangles >= 100 and with_inf >= 20
 
     def test_no_chain_reaches_an_arc_into_the_source(self):
         # every arc not into node 0 sits in its tail's chain exactly once;
@@ -542,23 +609,26 @@ def chain_arcs(node_count, to, cap, head, nxt) -> list[list[tuple[int, int, int]
 
 def reference_network(ci):
     """``(uncut, node_count, arcs)`` of ``ci``'s reduced network, written from
-    the gadget rules on sorted local images, as ``(u, v, c, rc)`` quadruples."""
+    the rules on sorted local images, as ``(u, v, c, rc)`` quadruples.
+    Capacities are scaled by two, which leaves each side of a triangle the
+    whole weight of its edge."""
     uncut, node, arcs = 0, local_n(ci), []
     for image, w in local_images(ci):
         kind = edge_class(image)
         if kind == "both terminals":
-            uncut += w
-        elif len(image) == 2:  # no capacity into 0 or out of 1
-            u, v = image
-            arcs.append((u, v, 0 if u == 1 else w, 0 if u == 0 else w))
+            uncut += 2 * w
+        elif len(image) < 4:  # complete graph; no capacity into 0 or out of 1
+            c = 2 * w // (len(image) - 1)
+            for u, v in itertools.combinations(image, 2):
+                arcs.append((v, 1, c, 0) if u == 1 else (u, v, c, 0 if u == 0 else c))
         elif kind == "source node":
-            arcs += [(0, node, w, 0)] + [(node, v, INF, 0) for v in image[1:]]
+            arcs += [(0, node, 2 * w, 0)] + [(node, v, INF, 0) for v in image[1:]]
             node += 1
         elif kind == "sink node":
-            arcs += [(node, 1, w, 0)] + [(v, node, INF, 0) for v in image[1:]]
+            arcs += [(node, 1, 2 * w, 0)] + [(v, node, INF, 0) for v in image[1:]]
             node += 1
         else:
-            arcs += [(node, node + 1, w, 0)] + [arc for v in image for arc in ((v, node, INF, 0), (node + 1, v, INF, 0))]
+            arcs += [(node, node + 1, 2 * w, 0)] + [arc for v in image for arc in ((v, node, INF, 0), (node + 1, v, INF, 0))]
             node += 2
     return uncut, node, arcs
 
