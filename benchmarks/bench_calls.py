@@ -6,9 +6,8 @@
 and the terminal sample R comes from the seed alone.  So the calls of a run
 on a connected input follow from n, the seed and the repetitions.  This
 script replays those draws: for each n in ``SIZES`` it sweeps
-``geometric_schedule(n)``, draws ``DriverConfig.resolved_repetitions(n)``
-samples per k with ``sample_terminals`` from ``driver._trial_rng``, skips
-the samples the driver skips, and counts per row:
+``geometric_schedule(n)``, takes the samples of the trials the driver runs
+at each k from ``trial_samples``, and counts per row:
 
 - ``trials``: repetitions per k times the schedule length, the driver's
   ``trials_run``;
@@ -37,8 +36,7 @@ import platform
 
 import numpy as np
 
-from isocut import DriverConfig, geometric_schedule, sample_terminals
-from isocut.driver import _trial_rng
+from isocut import DriverConfig, geometric_schedule, trial_samples
 
 SIZES = (16, 30, 60, 240, 1_000, 4_000, 16_000, 64_000)
 RNG_SEED = 1
@@ -47,15 +45,13 @@ OUTPUT = "BENCH_calls.json"
 
 def replay(n: int) -> dict:
     """One row: the trials and calls of a default-config run on n vertices."""
-    reps = DriverConfig(rng_seed=RNG_SEED).resolved_repetitions(n)
+    cfg = DriverConfig(rng_seed=RNG_SEED)
+    reps = cfg.resolved_repetitions(n)
     schedule = geometric_schedule(n)
     trials_run = charged = paper = 0
     for k in schedule:
-        rng = _trial_rng(RNG_SEED, k)
-        for _ in range(reps):
-            r = len(sample_terminals(n, k, rng))
-            if r < 2 or (r == n and n > 2):  # the driver's skip rule
-                continue
+        for sample in trial_samples(n, k, cfg):
+            r = len(sample)
             bits = (r - 1).bit_length()  # ceil(log2 r)
             trials_run += 1
             charged += bits + r

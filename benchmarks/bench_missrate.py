@@ -16,11 +16,12 @@ when S is the only optimal side.  Two parts check this:
   the misses, the rate and its standard error, the bound for that side size
   and the worst-case bound over all sizes (what ``miss_bound`` reports).
 - ``sampling``: for n up to 240 and every k of ``geometric_schedule(n)``,
-  ``draws`` samples from the driver's own stream (``sample_terminals`` on
-  ``driver._trial_rng``) and the frequency of the isolating event, the
-  driver's skip rule included, against q_k(s) for s = 1, 2 and n/2.  A
-  row's ``z`` is (freq - q) / sqrt(q (1 - q) / draws), left null where
-  fewer than 10 hits are expected and the normal score means little.
+  ``draws`` trials from the driver's own stream (``trial_samples`` with
+  ``draws`` repetitions per k) and the frequency of the isolating event
+  among them, the trials the driver skips counted as misses, against q_k(s)
+  for s = 1, 2 and n/2.  A row's ``z`` is (freq - q) / sqrt(q (1 - q) /
+  draws), left null where fewer than 10 hits are expected and the normal
+  score means little.
 
 Run from the repository root:
 
@@ -48,9 +49,8 @@ from isocut import (
     hypergraph_mincut,
     isolation_probability,
     miss_bound,
-    sample_terminals,
+    trial_samples,
 )
-from isocut.driver import _trial_rng
 
 END_TO_END_SIZES = (12, 16)
 SAMPLING_SIZES = (12, 16, 60, 240)
@@ -122,26 +122,23 @@ def end_to_end(runs: int) -> list[dict]:
     return rows
 
 
-def isolates(mask: int, side: int, n: int) -> bool:
-    """Whether a trial with this sample isolates the side, under the driver's skip rule."""
-    r = mask.bit_count()
-    if r < 2 or (r == n and n > 2):
-        return False
+def isolates(mask: int, side: int) -> bool:
+    """Whether a sample the driver runs isolates the side."""
     inside = (mask & side).bit_count()
-    return inside == 1 or r - inside == 1  # the other part is nonempty, as r >= 2
+    # a sample the driver runs has two or more elements, so the other part is nonempty
+    return inside == 1 or mask.bit_count() - inside == 1
 
 
 def sampling(draws: int) -> list[dict]:
     rows = []
     for n in SAMPLING_SIZES:
         sizes = sorted({1, 2, n // 2})
+        cfg = DriverConfig(rng_seed=RNG_SEED, repetitions_per_k=draws)
         for k in geometric_schedule(n):
-            rng = _trial_rng(RNG_SEED, k)
             hits = dict.fromkeys(sizes, 0)
-            for _ in range(draws):
-                mask = sample_terminals(n, k, rng).mask
+            for sample in trial_samples(n, k, cfg):
                 for s in sizes:
-                    hits[s] += isolates(mask, (1 << s) - 1, n)
+                    hits[s] += isolates(sample.mask, (1 << s) - 1)
             for s in sizes:
                 q = float(isolation_probability(n, k, s))
                 freq = hits[s] / draws

@@ -30,6 +30,7 @@ from .driver import (
     isolation_probability,
     miss_bound,
     sample_terminals,
+    trial_samples,
 )
 from .generate import gen_planted, gen_uniform
 from .hypergraph import (
@@ -99,4 +100,5 @@ __all__ = [
     "serialize_hypergraph",
     "sfm_bruteforce",
     "st_mincut",
+    "trial_samples",
 ]

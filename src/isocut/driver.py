@@ -35,6 +35,7 @@ __all__ = [
     "isolation_probability",
     "miss_bound",
     "sample_terminals",
+    "trial_samples",
     "canonical_side",
     "find_nontrivial_minimizer_at_k",
     "find_nontrivial_minimizer",
@@ -101,7 +102,12 @@ def isolation_probability(n: int, k: int, s):
     outside it, or the other way round, and the driver does not skip it.
     ``s`` may be an integer array; the result is a float array of its shape.
     """
+    n, k = operator.index(n), operator.index(k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     s, p = np.asarray(s), 1 / k
+    if s.dtype.kind not in "iu":
+        raise TypeError(f"side sizes must be integers, got dtype {s.dtype}")
     if not np.all((1 <= s) & (s < n)):
         raise ValueError(f"need 1 <= s < n for every side size s, got n={n}")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -134,8 +140,14 @@ def miss_bound(n: int, reps: int, s: Optional[int] = None) -> float:
 
     It is prod_k (1 - q_k(s))**reps over ``geometric_schedule(n)`` for a side
     of size ``s``, and the worst case over every size when ``s`` is None; the
-    chance that the run misses the minimum is at most this.
+    chance that the run misses the minimum is at most this.  A run of no
+    trials misses with chance 1.
     """
+    n, reps = operator.index(n), operator.index(reps)
+    if reps < 0:
+        raise ValueError(f"reps must be >= 0, got {reps}")
+    if reps == 0:  # exp(0 * -inf) at n = 2 would be nan
+        return 1.0
     log = _worst_log_miss(n) if s is None else float(_log_miss(n, s))
     return math.exp(reps * log)
 
@@ -149,6 +161,27 @@ def sample_terminals(n: int, k: int, rng: np.random.Generator) -> ElementSubset:
     # element i is bit i: little-endian bits, then little-endian bytes
     mask = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
     return ElementSubset(n, mask)
+
+
+def _trial_rng(seed: int, k: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+    )
+
+
+def trial_samples(n: int, k: int, cfg: DriverConfig):
+    """Yield the terminal sample of each trial at rate 1/k that the driver runs, in draw order.
+
+    There are ``cfg.resolved_repetitions(n)`` draws from one stream keyed by
+    ``(cfg.rng_seed, k)``.  A sample of fewer than two elements is skipped,
+    as is the full ground set when n > 2 (for n == 2 the full sample is the
+    only informative one and is kept).
+    """
+    rng = _trial_rng(cfg.rng_seed, k)
+    for _ in range(cfg.resolved_repetitions(n)):
+        sample = sample_terminals(n, k, rng)
+        if len(sample) >= 2 and (len(sample) < n or n == 2):
+            yield sample
 
 
 def canonical_side(s: ElementSubset) -> ElementSubset:
@@ -193,18 +226,10 @@ def _candidate_key(candidate: tuple[int, ElementSubset]) -> tuple[int, int, int]
     return (value, len(side), side.mask)
 
 
-def _trial_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-    )
-
-
 def find_nontrivial_minimizer_at_k(f, k: int, cfg: DriverConfig, blackbox) -> AtKResult:
     """Run the repetitions for one sampling rate 1/k and keep the best side.
 
-    Trials whose sample has fewer than two terminals are counted as failed
-    and skipped, as are full-ground samples when n > 2 (for n == 2 the full
-    sample is the only informative one and is kept).
+    The trials that ``trial_samples`` leaves out are counted as skipped.
     """
     n = f.ground.n
     if n < 2:
@@ -213,14 +238,10 @@ def find_nontrivial_minimizer_at_k(f, k: int, cfg: DriverConfig, blackbox) -> At
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     reps = cfg.resolved_repetitions(n)
-    rng = _trial_rng(cfg.rng_seed, k)
 
     stats: list[IsolatingStats] = []
     candidates: list[tuple[int, ElementSubset]] = []
-    for _ in range(reps):
-        sample = sample_terminals(n, k, rng)
-        if len(sample) < 2 or (len(sample) == n and n > 2):
-            continue
+    for sample in trial_samples(n, k, cfg):
         iso = isolating_sets(f, TerminalSet(sample), blackbox)
         stats.append(iso.stats)
         candidates += [(iso.values[v], canonical_side(s_v))

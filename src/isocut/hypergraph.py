@@ -18,10 +18,9 @@ bipartition:
 - an edge of two or three vertices is the complete graph on its vertices,
   with ``2w / (r - 1)`` on each of its pairs: ``2w`` on a pair and ``w`` on
   each side of a triangle, since every split of three vertices cuts two of
-  the three sides (Veldt, Benson & Kleinberg, SIAM Review 2022).  A pair
-  holding 0 is the arc ``0 -> v``, one holding 1 the arc ``v -> 1``, and
-  one of two free vertices ``u <-> v``, of that capacity each way.  No node
-  is added;
+  the three sides (Veldt, Benson & Kleinberg, SIAM Review 2022).  Each
+  pair is an arc pair of that capacity each way, less the arcs into 0 and
+  out of 1.  No node is added;
 - any larger edge is one weight arc ``a -> b`` of capacity ``2w``.  ``a``
   is 0 if the edge holds 0 and otherwise a new in-node, with an uncuttable
   arc ``v -> a`` from each free ``v``; ``b`` is 1 if the edge holds 1 and
@@ -354,22 +353,25 @@ def contracted_instance(h: Hypergraph, forced_in: ElementSubset, forced_out: Ele
 def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset):
     """Reduced flow network of the contraction, built from its images.
 
-    Returns ``(uncut, p, local, node_count, to, cap, head, nxt)``.  Nodes 0
-    and 1 are the forced sides, and ``local`` maps each free vertex ``u``,
-    keyed by its bit ``1 << u``, to its node: 2, 3, ... in ascending order
-    of ``u``.  Then come the new in- and out-nodes of the gadgets of four or
-    more vertices (see the module docstring), in image order; an input of
-    rank at most 3 adds none.  Capacities are scaled by two, so a cut of the
-    network costs twice the hypergraph cut it stands for.  ``uncut`` is
-    twice the weight of the images holding both 0 and 1, which every source
-    side cuts: ``(uncut + flow) >> 1`` is the minimum cut.  ``p`` is the sum
-    of the image sizes.  Each image first writes its arc pairs, ``to`` and
-    ``cap`` only; one loop then links every arc into its tail's chain, in
-    slot order, except the arcs into 0.
+    Returns ``(uncut, p, local, node_count, to, cap, head, nxt)``.
+    ``local`` maps each bit of an image key to its node: bit 0 (the image
+    holds 1) to node 1, bit 1 (it holds 0) to node 0, and free vertex
+    ``u``'s bit ``1 << (u + 2)`` to 2, 3, ... in ascending order of ``u``.
+    Then come the in- and out-nodes of the gadgets of four or more vertices,
+    in image order.  Capacities are doubled (see the module docstring).  An
+    image holding 0 and 1 adds ``2w`` to ``uncut``, which every source side
+    cuts: ``(uncut + flow) >> 1`` is the minimum cut.  An image of two or
+    three vertices is the complete graph on its nodes ``a``, ``b`` (and
+    ``d``), read off its key lowest bit first, so only ``a`` can be 0 or 1.
+    A larger one is a gadget over its free bits, ``key & ~3``.  ``p`` is
+    the sum of the image sizes.  Each image first writes its arc pairs,
+    ``to`` and ``cap`` only; one loop then links every arc into its tail's
+    chain, in slot order, except the arcs into 0.
     """
     free, images = contracted_instance(h, forced_in, forced_out)
-    local = {}
+    local = {1: 1, 2: 0}
     node_count = 2
+    free <<= 2
     while free:
         low = free & -free
         free ^= low
@@ -381,43 +383,28 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
     cap: list[int] = []
     uncut = p = 0
     for key, w in images.items():
-        part = key >> 2
         size = key.bit_count()  # free vertices plus one per flag
         if size < 2:
             continue
         p += size
         if key & 3 == 3:
             uncut += w << 1
-        elif size == 2:
-            c = w << 1
-            if key & 2:  # 0 -> v
-                to += (local[part], 0)
-                cap += (c, 0)
-            elif key & 1:  # v -> 1
-                to += (1, local[part])
-                cap += (c, 0)
-            else:  # u <-> v
-                low = part & -part
-                to += (local[part ^ low], local[low])
-                cap += (c, c)
-        elif size == 3:  # a triangle of w on each side
-            low = part & -part
-            x = local[low]
-            part ^= low
-            if key & 2:  # 0 -> x, 0 -> y, x <-> y
-                y = local[part]
-                to += (x, 0, y, 0, y, x)
-                cap += (w, 0, w, 0, w, w)
-            elif key & 1:  # x -> 1, y -> 1, x <-> y
-                y = local[part]
-                to += (1, x, 1, y, y, x)
-                cap += (w, 0, w, 0, w, w)
-            else:  # x <-> y, x <-> z, y <-> z
-                low = part & -part
-                y = local[low]
-                z = local[part ^ low]
-                to += (y, x, z, x, z, y)
-                cap += (w, w, w, w, w, w)
+        elif size < 4:  # complete graph: a first, then b and d, all but a free
+            low = key & -key
+            a = local[low]
+            key ^= low
+            c = w << 1 if size == 2 else w
+            ab = 0 if a == 1 else c  # a -> b and a -> d; none out of 1
+            ba = c if a else 0  # b -> a and d -> a; none into 0
+            if size == 2:
+                to += (local[key], a)
+                cap += (ab, ba)
+            else:
+                low = key & -key
+                b = local[low]
+                d = local[key ^ low]
+                to += (b, a, d, a, d, b)
+                cap += (ab, ba, ab, ba, c, c)
         else:  # weight arc a -> b: a is 0 or a new in-node, b is 1 or a new out-node
             a = 0
             if not key & 2:
@@ -429,9 +416,10 @@ def _flow_network(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSu
                 node_count += 1
             to += (b, a)
             cap += (w << 1, 0)
-            while part:
-                low = part & -part
-                part ^= low
+            key &= ~3
+            while key:
+                low = key & -key
+                key ^= low
                 v = local[low]
                 if a:  # v -> a uncuttable
                     to += (a, v)
@@ -460,7 +448,7 @@ def _flow_cut(h: Hypergraph, forced_in: ElementSubset, forced_out: ElementSubset
     for bit, i in local.items():
         if level[i] >= 0:
             mask |= bit
-    return SfmResult(_unchecked_subset(h.n, mask), (uncut + flow) >> 1, p)
+    return SfmResult(_unchecked_subset(h.n, mask >> 2), (uncut + flow) >> 1, p)
 
 
 class HypergraphFlowBlackbox:

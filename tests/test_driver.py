@@ -28,6 +28,7 @@ from isocut import (
     isolation_probability,
     miss_bound,
     sample_terminals,
+    trial_samples,
 )
 from isocut.hypergraph import MAX_VERTICES
 
@@ -125,6 +126,29 @@ class TestMissBound:
         for s in (0, 12, [1, 12]):
             with pytest.raises(ValueError, match="1 <= s < n"):
                 isolation_probability(12, 3, s)
+
+    @pytest.mark.parametrize("k", [0, -2, 13])
+    def test_isolation_probability_rejects_rates_outside_one_to_n(self, k):
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            isolation_probability(12, k, 1)
+
+    @pytest.mark.parametrize("n, k, s", [(12.0, 2, 1), (12, 2.0, 1), (12, 2, 1.5), (12, 2, [1.0, 2.0])])
+    def test_isolation_probability_rejects_non_integers(self, n, k, s):
+        with pytest.raises(TypeError):
+            isolation_probability(n, k, s)
+
+    def test_miss_bound_rejects_negative_repetitions(self):
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            miss_bound(12, -1)
+
+    @pytest.mark.parametrize("n, reps, s", [(12, 1.5, None), (12.0, 1, None), (12, 1, 1.5)])
+    def test_miss_bound_rejects_non_integers(self, n, reps, s):
+        with pytest.raises(TypeError):
+            miss_bound(n, reps, s)
+
+    def test_no_repetitions_always_miss(self):
+        # at n = 2 one trial cannot miss, so 0 * log(0) must not turn into nan
+        assert miss_bound(2, 0) == miss_bound(12, 0) == miss_bound(12, 0, 3) == 1.0
 
     def test_bound_is_the_product_over_the_schedule(self):
         n, reps = 12, 3
@@ -252,6 +276,20 @@ class TestAtK:
         f = CutOracle(dumbbell())
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             find_nontrivial_minimizer_at_k(f, k, DriverConfig(rng_seed=5), BruteForceBlackbox())
+
+    def test_trials_run_are_the_trial_samples(self):
+        f = CutOracle(dumbbell())
+        for k in (1, 2, 3, 6):
+            cfg = DriverConfig(rng_seed=11, repetitions_per_k=40)
+            samples = list(trial_samples(6, k, cfg))
+            res = find_nontrivial_minimizer_at_k(f, k, cfg, BruteForceBlackbox())
+            assert len(samples) == res.trials_run - res.trials_skipped
+            # a trial on |R| terminals makes ceil(log2 |R|) + |R| blackbox calls
+            assert [t.step1_calls + t.step2_calls for t in res.trial_stats] == [
+                (len(r) - 1).bit_length() + len(r) for r in samples]
+            assert all(2 <= len(r) < 6 for r in samples)
+        # at n = 2 the full sample is the only one that can isolate, so it is kept
+        assert list(trial_samples(2, 1, DriverConfig(repetitions_per_k=3))) == [GroundSet(2).full()] * 3
 
     def test_call_accounting_via_trial_stats(self):
         f = CutOracle(dumbbell())

@@ -504,8 +504,8 @@ class TestReducedNetwork:
             ci = contracted_instance(h, forced_in, forced_out)
             seen.update(edge_class(image) for image, _ in local_images(ci))
             uncut, p, local, node_count, to, cap, head, nxt = _flow_network(h, forced_in, forced_out)
-            assert list(local) == [1 << u for u in free_ids(ci)]
-            assert list(local.values()) == list(range(2, local_n(ci)))
+            # key bit 0 (holds 1) is node 1, bit 1 (holds 0) node 0, free u's bit u + 2 its node
+            assert list(local.items()) == [(1, 1), (2, 0)] + [(1 << (u + 2), i) for i, u in enumerate(free_ids(ci), 2)]
             ref_uncut, ref_count, arcs = reference_network(ci)
             assert (uncut, p, node_count) == (ref_uncut, rep_size(ci), ref_count)
             ref = build_forward_star(ref_count, arcs)
@@ -514,7 +514,7 @@ class TestReducedNetwork:
             assert chain_arcs(node_count, to, cap, head, nxt) == chain_arcs(ref_count, *ref)
             flow, level = solve_max_flow(node_count, 0, 1, to, cap, head, nxt)
             ref_flow, ref_level = solve_max_flow(ref_count, 0, 1, *ref)
-            side = sum(bit for bit, i in local.items() if level[i] >= 0)
+            side = sum(bit for bit, i in local.items() if level[i] >= 0) >> 2
             ref_side = sum(1 << u for i, u in enumerate(free_ids(ci), 2) if ref_level[i] >= 0)
             value, brute_side = brute_st_cut(h, in_mask, out_mask)
             # the network cuts cost twice the hypergraph cuts
