@@ -16,11 +16,16 @@ at each k from ``trial_samples``, and counts per row:
 - ``charged_calls``: ceil(log2 |R|) + |R| per trial run, as the driver
   counts them;
 - ``paper_calls``: ceil(log2 |R|) + 1 per trial run, with round 2 as one
-  call, and that count divided by log2(n)^3.
+  call, and that count divided by log2(n)^3;
+- ``naive_calls``: n - 1, the calls of the exact naive sweep, which fixes
+  element 0 and minimizes once with each other element forced out.
 
 The record also holds two fitted exponents: the least-squares slope of
 log(paper calls) against log(log2 n), and of log(charged calls) against
-log(n log2 n).  Run from the repository root (no options):
+log(n log2 n).  ``paper_calls_below_naive_from`` and
+``charged_calls_below_naive_from`` are the smallest n in ``SIZES`` from
+which every row's count is below its ``naive_calls`` (null if the largest
+row's is not).  Run from the repository root (no options):
 
     python benchmarks/bench_calls.py
 
@@ -65,6 +70,7 @@ def replay(n: int) -> dict:
         "charged_calls": charged,
         "paper_calls": paper,
         "paper_per_log2_n_cubed": round(paper / math.log2(n) ** 3, 3),
+        "naive_calls": n - 1,
     }
 
 
@@ -73,14 +79,25 @@ def slope(x: list[float], y: list[float]) -> float:
     return round(float(np.polyfit(np.log(x), np.log(y), 1)[0]), 4)
 
 
+def below_naive_from(rows: list[dict], key: str) -> int | None:
+    """Smallest n from which every row's ``key`` count is below ``naive_calls``, or None."""
+    start = None
+    for row in rows:
+        if row[key] >= row["naive_calls"]:
+            start = None
+        elif start is None:
+            start = row["n"]
+    return start
+
+
 def main() -> None:
     rows = []
-    print(f"{'n':>6} {'reps/k':>6} {'ks':>3} {'trials':>6} {'run':>6} {'charged':>10} {'paper':>7} {'paper/log2^3':>12}")
+    print(f"{'n':>6} {'reps/k':>6} {'ks':>3} {'trials':>6} {'run':>6} {'charged':>10} {'paper':>7} {'paper/log2^3':>12} {'naive':>6}")
     for n in SIZES:
         row = replay(n)
         rows.append(row)
         print(f"{n:>6} {row['reps_per_k']:>6} {row['schedule_len']:>3} {row['trials']:>6} {row['trials_run']:>6}"
-              f" {row['charged_calls']:>10} {row['paper_calls']:>7} {row['paper_per_log2_n_cubed']:>12}")
+              f" {row['charged_calls']:>10} {row['paper_calls']:>7} {row['paper_per_log2_n_cubed']:>12} {row['naive_calls']:>6}")
     log_n = [math.log2(n) for n in SIZES]
     record = {
         "rng_seed": RNG_SEED,
@@ -88,6 +105,8 @@ def main() -> None:
         "paper_calls_exponent_vs_log2_n": slope(log_n, [r["paper_calls"] for r in rows]),
         "charged_calls_exponent_vs_n_log2_n": slope([n * b for n, b in zip(SIZES, log_n)],
                                                     [r["charged_calls"] for r in rows]),
+        "paper_calls_below_naive_from": below_naive_from(rows, "paper_calls"),
+        "charged_calls_below_naive_from": below_naive_from(rows, "charged_calls"),
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

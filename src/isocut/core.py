@@ -54,13 +54,17 @@ class GroundSet:
         return ElementSubset.of(self.n, members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementSubset:
     """Immutable subset of 0..n-1 backed by an integer bitmask.
 
     Set operations require both operands to live in the same universe and
     raise ``ValueError`` otherwise.  Iteration yields members in ascending
-    order.
+    order.  Membership takes any integer, numpy's included, through
+    ``operator.index``.
+
+    The two fields are slots: an instance has no ``__dict__``, and assigning
+    either field raises ``FrozenInstanceError`` as on any frozen dataclass.
 
     The constructor and :meth:`of` range-check their input.  Results of
     ``|``, ``&``, ``-`` and :meth:`complement`, and the queries that the
@@ -116,6 +120,9 @@ class ElementSubset:
         return self <= other and self.mask != other.mask
 
     def __contains__(self, i: int) -> bool:
+        # exact ints skip this; a numpy int would make the shift a C long one, overflowing past 63 bits
+        if type(i) is not int:
+            i = operator.index(i)
         return 0 <= i < self.n and (self.mask >> i) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
@@ -138,15 +145,22 @@ class ElementSubset:
         return f"ElementSubset(n={self.n}, {{{', '.join(map(str, self))}}})"
 
 
+# the slot descriptors' setters; bound after the decorator, since slots=True returns a new class
+_set_n = ElementSubset.n.__set__
+_set_mask = ElementSubset.mask.__set__
+
+
 def _unchecked_subset(n: int, mask: int) -> ElementSubset:
     """``ElementSubset(n, mask)`` without ``__post_init__``'s range check.
 
     Only for masks known to lie in 0..2**n-1 because they were combined from
-    subsets of the same n-element universe that were checked already.
+    subsets of the same n-element universe that were checked already.  The
+    two slots are written through their member descriptors, past the frozen
+    ``__setattr__``; that costs about half of two ``object.__setattr__`` calls.
     """
     s = object.__new__(ElementSubset)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "mask", mask)
+    _set_n(s, n)
+    _set_mask(s, mask)
     return s
 
 

@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bench_maxflow.py", ["--solves", "5"], {"backend", "solves", "us_per_build", "us_per_solve", "nodes_per_solve", "arcs_per_solve", "python", "numpy"}),
     ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "python", "numpy"}),
     ("bench_calls.py", [], {"rng_seed", "rows", "paper_calls_exponent_vs_log2_n",
-                            "charged_calls_exponent_vs_n_log2_n", "python", "numpy"}),
+                            "charged_calls_exponent_vs_n_log2_n", "paper_calls_below_naive_from",
+                            "charged_calls_below_naive_from", "python", "numpy"}),
     ("bench_missrate.py", ["--runs", "3", "--draws", "20"], {"rng_seed", "end_to_end", "all_within_bound_plus_3se",
                                                           "sampling", "sampling_max_abs_z", "python", "numpy"}),
 ])
@@ -63,4 +64,12 @@ def test_call_replay_matches_the_driver(n, calls, trials):
     res = hypergraph_mincut(h, DriverConfig(rng_seed=bench_calls.RNG_SEED))
     skipped = sum(r.trials_skipped for r in res.driver.per_k_breakdown)
     assert (res.blackbox_calls, res.trials, res.trials - skipped) == (calls, trials, row["trials_run"])
-    assert (row["charged_calls"], row["trials"]) == (calls, trials)
+    assert (row["charged_calls"], row["trials"], row["naive_calls"]) == (calls, trials, n - 1)
+
+
+def test_below_naive_from_needs_every_later_row_below():
+    below_naive_from = load_bench_calls().below_naive_from
+    rows = [{"n": n, "naive_calls": n - 1, "calls": calls} for n, calls in [(10, 12), (20, 15), (40, 50), (80, 60)]]
+    assert below_naive_from(rows, "calls") == 80
+    assert below_naive_from(rows[:2], "calls") == 20
+    assert below_naive_from(rows[:3], "calls") is None

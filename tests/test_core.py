@@ -1,5 +1,8 @@
 """Subsets, oracles, contraction, and the property checkers."""
 
+import copy
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +23,7 @@ from isocut import (
     contract,
     isolating_sets,
 )
+from isocut.core import _unchecked_subset
 
 from conftest import philox, random_hypergraph
 
@@ -43,15 +47,37 @@ class TestElementSubset:
         assert (a == b) == (sa == sb)
         # results built without the range check behave like checked subsets
         for r in (a | b, a & b, a - b, a.complement()):
-            checked = ElementSubset(n, r.mask)
-            assert r == checked and hash(r) == hash(checked) and repr(r) == repr(checked)
-            with pytest.raises(AttributeError):
-                r.mask = 0
+            checked, unchecked = ElementSubset(n, r.mask), _unchecked_subset(n, r.mask)
+            for s in (r, unchecked):
+                assert s == checked and hash(s) == hash(checked) and repr(s) == repr(checked)
+            for s in (r, checked, unchecked):
+                for field in ("n", "mask"):
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(s, field, 0)
+
+    def test_slotted_with_no_instance_dict(self):
+        s = ElementSubset.of(100, [3, 70])
+        assert not hasattr(s, "__dict__")
+        for clone in (copy.copy(s), copy.deepcopy(s), copy.deepcopy(_unchecked_subset(100, s.mask))):
+            assert clone == s and hash(clone) == hash(s) and repr(clone) == repr(s)
+            assert (type(clone.n), type(clone.mask)) == (int, int)
 
     def test_membership_and_iteration_order(self):
         s = ElementSubset.of(6, [4, 1, 1, 3])
         assert list(s) == [1, 3, 4]
         assert 3 in s and 0 not in s and 17 not in s
+
+    @pytest.mark.parametrize("n", [12, 100])
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32])
+    def test_membership_takes_numpy_ints(self, n, int_type):
+        # past 63 bits the shift by a numpy int used to raise OverflowError
+        s = ElementSubset.of(n, [3, n - 2])
+        assert int_type(3) in s and int_type(n - 2) in s
+        assert int_type(4) not in s and int_type(n) not in s and int_type(-1) not in s
+
+    def test_membership_rejects_non_integers(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            1.0 in ElementSubset.of(100, [1])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
