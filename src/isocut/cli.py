@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .core import GroundSet, SubmodularOracle
-from .driver import DriverConfig, NoCandidateError, find_nontrivial_minimizer
+from .driver import MISS_TARGET, DriverConfig, NoCandidateError, find_nontrivial_minimizer
 from .generate import gen_planted, gen_uniform
 from .hypergraph import (
     CutOracle,
@@ -38,7 +38,7 @@ from .sfm import BruteForceBlackbox, bruteforce_nontrivial_min
 VERIFY_CAP = 14
 # seeds feed numpy's SeedSequence and the driver's 64-bit rng_seed
 SEED_LIMIT = 1 << 64
-REPS_HELP = "Sampling repetitions per k (default: the fewest whose miss bound is <= 2**-30)."
+REPS_HELP = f"Sampling repetitions per k (default: the fewest whose miss bound is <= 2**{np.log2(MISS_TARGET):.0f})."
 
 
 class _DecimalInt(click.ParamType):

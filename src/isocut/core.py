@@ -54,7 +54,7 @@ class GroundSet:
         return ElementSubset.of(self.n, members)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ElementSubset:
     """Immutable subset of 0..n-1 backed by an integer bitmask.
 
@@ -63,8 +63,8 @@ class ElementSubset:
     order.  Membership takes any integer, numpy's included, through
     ``operator.index``.
 
-    The two fields are slots: an instance has no ``__dict__``, and assigning
-    either field raises ``FrozenInstanceError`` as on any frozen dataclass.
+    The two fields are slots: an instance has no ``__dict__``, and any
+    assignment raises ``FrozenInstanceError`` as on any frozen dataclass.
 
     The constructor and :meth:`of` range-check their input.  Results of
     ``|``, ``&``, ``-`` and :meth:`complement`, and the queries that the
@@ -72,6 +72,8 @@ class ElementSubset:
     of an existing subset, skip that check (see :func:`_unchecked_subset`):
     a mask combined from in-range masks of one universe is in range too.
     """
+
+    __slots__ = ("n", "mask")  # not slots=True: its rebuilt class breaks the frozen __setattr__
 
     n: int
     mask: int
@@ -144,8 +146,12 @@ class ElementSubset:
     def __repr__(self) -> str:
         return f"ElementSubset(n={self.n}, {{{', '.join(map(str, self))}}})"
 
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle rebuild through the constructor, not the frozen __setattr__
+        return type(self), (self.n, self.mask)
 
-# the slot descriptors' setters; bound after the decorator, since slots=True returns a new class
+
+# the slot descriptors' setters
 _set_n = ElementSubset.n.__set__
 _set_mask = ElementSubset.mask.__set__
 

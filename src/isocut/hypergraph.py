@@ -90,8 +90,14 @@ def _parse_ints(tokens: list[str]) -> list[int]:
 
 
 def _echo(value) -> str:
-    """``repr(value)`` for an error message, cut to a short prefix if long."""
-    text = repr(value)
+    """``repr(value)`` for an error message, cut to a short prefix if long; an
+    int past Python's int-to-str digit limit, whose ``repr`` raises, by its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
     if len(text) <= _ECHO_CHARS:
         return text
     return f"{text[:_ECHO_CHARS]}... ({len(text)} chars)"
@@ -125,10 +131,10 @@ class Hypergraph:
             if not vs:
                 raise ValueError("hyperedge with no vertices")
             if vs[0] < 0 or vs[-1] >= n:
-                raise ValueError(f"hyperedge {vs} has a vertex outside 0..{n - 1}")
+                raise ValueError(f"hyperedge vertex {_echo(vs[0] if vs[0] < 0 else vs[-1])} outside 0..{n - 1}")
             w = operator.index(w)
             if w < 1:
-                raise ValueError(f"hyperedge {vs} has non-positive weight {w}")
+                raise ValueError(f"hyperedge has non-positive weight {_echo(w)}")
             total += w
             if total >= MAX_TOTAL_WEIGHT:
                 raise ValueError("total edge weight would overflow 64-bit cut accounting")

@@ -1,11 +1,12 @@
 """CLI surface: commands, exit codes, JSON determinism."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
-from isocut import DriverConfig, cli, hypergraph_mincut, miss_bound
+from isocut import MISS_TARGET, DriverConfig, cli, hypergraph_mincut, miss_bound
 from isocut.hypergraph import MAX_TOTAL_WEIGHT, MAX_VERTICES, parse_hypergraph
 
 DUMBBELL = """7 6 1
@@ -420,6 +421,14 @@ class TestSfm:
         result = runner.invoke(cli.main, ["sfm", "--demo", "concave:14", "--reps", "1", "--seed", "0"])
         assert result.exit_code == 0, result.stderr
         assert json.loads(result.stdout)["value"] == 1
+
+
+@pytest.mark.parametrize("command", ["mincut", "sfm"])
+def test_reps_help_states_the_miss_target(runner, command):
+    # --help quotes the target that the default repetitions per k meet
+    result = runner.invoke(cli.main, [command, "--help"])
+    exponent = re.search(r"miss bound is <= 2\*\*(-?\d+)\)", " ".join(result.stdout.split()))
+    assert 2.0 ** int(exponent.group(1)) == MISS_TARGET
 
 
 class TestIntegerOptions:

@@ -1,6 +1,7 @@
 """Subsets, oracles, contraction, and the property checkers."""
 
 import copy
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -58,9 +59,18 @@ class TestElementSubset:
     def test_slotted_with_no_instance_dict(self):
         s = ElementSubset.of(100, [3, 70])
         assert not hasattr(s, "__dict__")
-        for clone in (copy.copy(s), copy.deepcopy(s), copy.deepcopy(_unchecked_subset(100, s.mask))):
+        clones = [copy.copy(s), copy.deepcopy(s), copy.deepcopy(_unchecked_subset(100, s.mask))]
+        clones += [pickle.loads(pickle.dumps(s, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in clones:
             assert clone == s and hash(clone) == hash(s) and repr(clone) == repr(s)
             assert (type(clone.n), type(clone.mask)) == (int, int)
+            assert not hasattr(clone, "__dict__")
+
+    def test_assigning_any_attribute_is_refused(self):
+        s = ElementSubset.of(5, [1])
+        with pytest.raises(FrozenInstanceError):
+            s.extra = 1
+        assert not hasattr(s, "extra")
 
     def test_membership_and_iteration_order(self):
         s = ElementSubset.of(6, [4, 1, 1, 3])

@@ -71,6 +71,19 @@ class TestModel:
         with pytest.raises(TypeError):
             Hypergraph(2.5, [((0, 1), 1)])
 
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    @pytest.mark.parametrize("args, problem", [
+        (lambda big: (big, []), "n <= "),
+        (lambda big: (3, [((0, big), 1)]), "hyperedge vertex "),
+        (lambda big: (3, [((-big, 1), 1)]), "hyperedge vertex -"),
+        (lambda big: (3, [((0, 1), -big)]), "non-positive weight -"),
+    ], ids=["n", "vertex", "negative-vertex", "weight"])
+    def test_huge_int_message_is_short(self, digits, args, problem):
+        # past 4,300 digits repr(int) raises, so the message names the bit length instead
+        with pytest.raises(ValueError, match=problem) as info:
+            Hypergraph(*args(10**digits))
+        assert len(str(info.value)) < 200
+
     def test_vertex_count_limit(self):
         # the parsers' limit holds for library callers too; no oracle is built
         with pytest.raises(ValueError, match=f"n <= {MAX_VERTICES}, got {MAX_VERTICES + 1}"):
