@@ -10,8 +10,11 @@ Oracles and contractions are built outside the timed region, and each kind
 runs ``PASSES`` timed passes over them in this one process, so that the
 spread between processes does not enter a comparison.  The record holds
 oracle queries per pass and microseconds per query in the median pass for
-each kind, and the Python and numpy versions.  Run from the repository
-root:
+each kind, the Python and numpy versions, and ``speed_probe_s``: the best
+of five runs of a fixed pure-Python loop, taken before the oracles run (the
+same probe as ``perfbench/run.py``).  The probe rescales a record made on a
+faster or slower machine state: compare ``us_per_query / speed_probe_s``.
+Run from the repository root:
 
     python benchmarks/bench_sfm.py [--calls 20] [--seed 0]
 
@@ -34,6 +37,18 @@ from isocut.generate import gen_uniform
 
 PASSES = 15  # timed passes per oracle kind; the median pass is reported
 OUTPUT = "BENCH_sfm.json"
+
+
+def speed_probe() -> float:
+    """Best of five runs of a fixed pure-Python loop: machine-state context."""
+    best = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        acc = 0
+        for i in range(200_000):
+            acc += i * i & 7
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def make_jobs(count: int, rng: np.random.Generator):
@@ -80,6 +95,7 @@ def main() -> None:
     if args.calls < 1:
         parser.error("--calls must be >= 1")
 
+    probe = speed_probe()
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     jobs = make_jobs(args.calls, rng)
     print(f"{args.calls} contractions per oracle kind, 10 to 14 free elements each, median of {PASSES} passes\n")
@@ -89,6 +105,7 @@ def main() -> None:
     record = {
         "queries": queries,
         "us_per_query": us_per_query,
+        "speed_probe_s": probe,
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

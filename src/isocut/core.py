@@ -67,10 +67,11 @@ class ElementSubset:
     assignment raises ``FrozenInstanceError`` as on any frozen dataclass.
 
     The constructor and :meth:`of` range-check their input.  Results of
-    ``|``, ``&``, ``-`` and :meth:`complement`, and the queries that the
-    brute-force blackbox and a contraction's ``evaluate`` build from the bits
-    of an existing subset, skip that check (see :func:`_unchecked_subset`):
-    a mask combined from in-range masks of one universe is in range too.
+    ``|``, ``&``, ``-`` and :meth:`complement`, a contraction's ``evaluate``
+    query, and each subset that :meth:`SubmodularOracle.gray_walk` builds
+    from the oracle's own free and forced bits skip that check (see
+    :func:`_unchecked_subset`): a mask combined from in-range masks of one
+    universe is in range too.
     """
 
     __slots__ = ("n", "mask")  # not slots=True: its rebuilt class breaks the frozen __setattr__
@@ -173,8 +174,10 @@ def _unchecked_subset(n: int, mask: int) -> ElementSubset:
 class SubmodularOracle:
     """Counting wrapper around an exact integer-valued set function.
 
-    ``evaluate`` is the only query channel; the counter increments exactly
-    once per call.  ``symmetric`` is a claim, checkable with
+    There are two query channels, and each counts exactly one query per
+    function call: :meth:`evaluate` answers one subset, and :meth:`gray_walk`
+    answers every subset of the free elements in turn, for the exhaustive
+    blackboxes.  ``symmetric`` is a claim, checkable with
     :func:`check_symmetric`.
 
     A fresh oracle has every element ``free`` and an empty ``forced_in``.
@@ -214,6 +217,34 @@ class SubmodularOracle:
             return operator.index(value)
         except TypeError:
             raise TypeError(f"oracle returned non-integer value {value!r}") from None
+
+    def gray_walk(self) -> Iterator[tuple[int, int]]:
+        """Yield ``(mask, value)`` for every subset of the free elements.
+
+        ``mask`` is the subset's bitmask and ``value`` the function at it
+        with ``forced_in`` added.  The walk starts at the empty set, and step
+        i flips the free element of i's lowest set bit, so consecutive masks
+        differ in one element.  Each query is counted, then answered and
+        checked to be an integer, exactly as by :meth:`evaluate`; it builds
+        one subset and skips ``evaluate``'s check that the subset is free.
+        """
+        # step 0 reads bits[-1], the 0 appended here, and flips nothing
+        bits = [1 << e for e in self.free] + [0]
+        n, forced, fn, queries = self.n, self.forced_in.mask, self._fn, self._queries
+        new, set_n, set_mask = object.__new__, _set_n, _set_mask
+        mask = 0
+        for i in range(1 << (len(bits) - 1)):
+            mask ^= bits[(i & -i).bit_length() - 1]
+            queries[0] += 1
+            s = new(ElementSubset)
+            set_n(s, n)
+            set_mask(s, forced | mask)
+            value = fn(s)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise TypeError(f"oracle returned non-integer value {value!r}") from None
+            yield mask, value
 
 
 def contract(f: SubmodularOracle, forced_in: ElementSubset, forced_out: ElementSubset) -> SubmodularOracle:

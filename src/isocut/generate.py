@@ -13,8 +13,9 @@ __all__ = ["gen_uniform", "gen_planted"]
 def _check_params(n: int, m: int, max_rank: int, max_weight: int) -> None:
     if not 2 <= n <= MAX_VERTICES:
         raise ValueError(f"need 2 <= n <= {MAX_VERTICES} (the parsers' limit), got {_echo(n)}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {_echo(m)}")
+    # every edge weighs at least 1, so m edges weigh at least m
+    if not 1 <= m < MAX_TOTAL_WEIGHT:
+        raise ValueError(f"need 1 <= m < {MAX_TOTAL_WEIGHT} (the total-weight limit), got {_echo(m)}")
     if not 2 <= max_rank <= n:
         raise ValueError(f"need 2 <= max_rank <= n, got max_rank={_echo(max_rank)}, n={_echo(n)}")
     if not 1 <= max_weight < MAX_TOTAL_WEIGHT:

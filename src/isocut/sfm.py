@@ -9,13 +9,11 @@ determinism and for the strict-inequality step of the containment argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     ElementSubset,
     OracleContractError,
     SizeLimitError,
-    _unchecked_subset,
     contract,
 )
 
@@ -46,27 +44,22 @@ class SfmResult:
 def sfm_bruteforce(f) -> SfmResult:
     """Exhaustive minimization over every subset of the free elements.
 
-    Subsets are visited in Gray-code order from the empty set, each one
-    flipping a single free element, and the running intersection of all
-    value-ties is kept; for a submodular oracle that intersection is itself
-    optimal (verified with a final evaluation) and is the minimal minimizer.
+    The oracle's :meth:`~isocut.core.SubmodularOracle.gray_walk` visits the
+    subsets, and the running intersection of all value-ties is kept; for a
+    submodular oracle that intersection is itself optimal (verified with a
+    final evaluation) and is the minimal minimizer.
     """
-    bits = [1 << e for e in f.free]
-    m = len(bits)
+    m = len(f.free)
     if m > DEFAULT_BRUTEFORCE_CAP:
         raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} free elements, got {m}")
-    n = f.ground.n
-    mask = meet = 0
-    best = f.evaluate(_unchecked_subset(n, 0))
-    for i in range(1, 1 << m):
-        # step i flips the free element of i's lowest set bit
-        mask ^= bits[(i & -i).bit_length() - 1]
-        v = f.evaluate(_unchecked_subset(n, mask))
+    walk = f.gray_walk()
+    meet, best = next(walk)
+    for mask, v in walk:
         if v < best:
             best, meet = v, mask
         elif v == best:
             meet &= mask
-    minimizer = ElementSubset(n, meet)
+    minimizer = ElementSubset(f.ground.n, meet)
     if f.evaluate(minimizer) != best:
         raise OracleContractError(
             "intersection of optimal sets is not optimal; oracle is not submodular"
@@ -85,21 +78,17 @@ def bruteforce_nontrivial_min(f) -> tuple[ElementSubset, int]:
     """Exhaustive minimum of f over all S with 0 < |S| < n.
 
     Returns the canonical optimal side: smallest value, then smallest size
-    (so at most n/2 for a symmetric oracle), then smallest bitmask.
+    (so at most n/2 for a symmetric oracle), then smallest bitmask.  Every
+    element of f must be free; the walk also queries the empty and the full
+    set, which are never the answer.
     """
     n = f.ground.n
     if n < 2:
         raise ValueError("nontrivial minimization needs n >= 2")
     if n > DEFAULT_BRUTEFORCE_CAP:
         raise SizeLimitError(f"brute-force minimization capped at {DEFAULT_BRUTEFORCE_CAP} elements, got {n}")
-    best_key = None
-    best: Optional[tuple[ElementSubset, int]] = None
-    for mask in range(1, (1 << n) - 1):
-        s = ElementSubset(n, mask)
-        v = f.evaluate(s)
-        key = (v, mask.bit_count(), mask)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (s, v)
-    assert best is not None
-    return best
+    full = (1 << n) - 1
+    if f.free.mask != full:
+        raise ValueError("nontrivial minimization needs every element free")
+    value, _, mask = min((v, mask.bit_count(), mask) for mask, v in f.gray_walk() if 0 < mask < full)
+    return ElementSubset(n, mask), value

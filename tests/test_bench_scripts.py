@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("script, args, keys", [
     ("bench_maxflow.py", ["--solves", "5"], {"backend", "solves", "us_per_build", "us_per_solve", "nodes_per_solve", "arcs_per_solve", "python", "numpy"}),
-    ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "python", "numpy"}),
+    ("bench_sfm.py", ["--calls", "1"], {"queries", "us_per_query", "speed_probe_s", "python", "numpy"}),
     ("bench_calls.py", [], {"rng_seed", "rows", "paper_calls_exponent_vs_log2_n",
                             "charged_calls_exponent_vs_n_log2_n", "paper_calls_below_naive_from",
                             "charged_calls_below_naive_from", "python", "numpy"}),

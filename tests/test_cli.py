@@ -327,6 +327,15 @@ class TestGen:
             assert result.exit_code == 2
             assert f"max_weight < {MAX_TOTAL_WEIGHT}" in result.stderr
 
+    def test_edge_count_past_the_total_weight_limit_is_usage_error(self, runner):
+        # every edge weighs at least 1: such a file could never load, and the draws would not end
+        for m in (str(MAX_TOTAL_WEIGHT), "9" * 4000):
+            for model in ("uniform", "planted"):
+                result = runner.invoke(cli.main, ["gen", "--model", model, "--n", "5", "--m", m])
+                assert result.exit_code == 2
+                assert f"m < {MAX_TOTAL_WEIGHT}" in result.stderr
+                assert len(result.stderr.encode()) < 300
+
     def test_long_offending_value_is_cut_short(self, runner):
         result = runner.invoke(cli.main, ["gen", "--n", "5", "--m", "3", "--max-weight", "9" * 4000])
         assert result.exit_code == 2

@@ -231,6 +231,57 @@ class TestOracle:
             f.evaluate(ElementSubset.of(4, [0]))
 
 
+class TestGrayWalk:
+    def test_walk_rejects_non_integer_values_as_evaluate_does(self):
+        f = SubmodularOracle(GroundSet(2), lambda s: 0.5)
+        with pytest.raises(TypeError) as by_evaluate:
+            f.evaluate(f.ground.empty())
+        with pytest.raises(TypeError) as by_walk:
+            list(f.gray_walk())
+        assert str(by_walk.value) == str(by_evaluate.value) == "oracle returned non-integer value 0.5"
+
+    @pytest.mark.parametrize("int_type", [np.int8, np.int64, np.uint64])
+    def test_walk_takes_numpy_integer_values(self, int_type):
+        f = SubmodularOracle(GroundSet(3), lambda s: int_type(len(s)))
+        walk = list(f.gray_walk())
+        assert walk == [(mask, mask.bit_count()) for mask, _ in walk]
+        assert all(type(v) is int for _, v in walk)
+
+    def test_raise_mid_walk_leaves_the_queries_started(self):
+        def fn(s):
+            if len(s) == 2:
+                raise RuntimeError("oracle failed")
+            return 0
+        f = SubmodularOracle(GroundSet(3), fn)
+        # masks 0, 1, 3: the third query raises, and is counted, as by evaluate
+        with pytest.raises(RuntimeError):
+            list(f.gray_walk())
+        assert f.query_count == 3
+        with pytest.raises(RuntimeError):
+            f.evaluate(ElementSubset(3, 3))
+        assert f.query_count == 4
+
+    def test_contraction_of_a_contraction_walks_and_counts_on_its_root(self):
+        h = random_hypergraph(philox(7), n_lo=6, n_hi=6)
+        f = CutOracle(h)
+        g = contract(f, f.ground.subset([0]), f.ground.subset([5]))
+        k = contract(g, f.ground.subset([1]), f.ground.subset([4]))
+        before = f.query_count
+        walk = list(k.gray_walk())
+        # free elements 2 and 3 in Gray order, each glued to forced_in {0, 1}
+        assert [mask for mask, _ in walk] == [0b0000, 0b0100, 0b1100, 0b1000]
+        assert [v for _, v in walk] == [f.evaluate(ElementSubset(6, 0b11 | mask)) for mask, _ in walk]
+        assert f.query_count - before == 8
+        assert g.query_count == k.query_count == f.query_count
+
+    def test_no_free_element_yields_the_forced_set_once(self):
+        f = path_oracle()
+        g = contract(f, f.ground.subset([0, 1]), f.ground.subset([2]))
+        before = f.query_count
+        assert list(g.gray_walk()) == [(0, f.evaluate(f.ground.subset([0, 1])))]
+        assert f.query_count - before == 2
+
+
 class TestCheckers:
     def test_cut_function_is_submodular(self):
         report = check_submodular(path_oracle())

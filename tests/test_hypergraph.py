@@ -390,6 +390,15 @@ def test_generators_stop_at_the_total_weight_limit(gen):
     gen(4, 1, 2, MAX_TOTAL_WEIGHT - 1, philox(1))  # one edge: just under the limit
 
 
+@pytest.mark.parametrize("gen", [gen_uniform, gen_planted])
+def test_generators_reject_more_edges_than_the_total_weight_limit(gen):
+    # each edge weighs at least 1; without the bound, a huge m drew edges without end
+    for m in (MAX_TOTAL_WEIGHT, 10**5000):
+        with pytest.raises(ValueError, match=f"m < {MAX_TOTAL_WEIGHT}") as e:
+            gen(5, m, 2, 3, philox(1))
+        assert len(str(e.value)) < 200
+
+
 class TestFlowBlackbox:
     def test_rejects_a_contraction_of_its_cut_oracle(self):
         # a contraction is not the cut oracle, so it cannot pass as its base

@@ -12,6 +12,7 @@ from isocut import (
     OracleContractError,
     SizeLimitError,
     SubmodularOracle,
+    bruteforce_nontrivial_min,
     contract,
     cut_value,
     sfm_bruteforce,
@@ -129,6 +130,42 @@ class TestBruteforce:
                 if sub == 0:
                     break
                 sub = (sub - 1) & mz
+
+
+def ascending_nontrivial_min(f):
+    """The minimum over 0 < mask < full, keyed (value, size, mask), one query per mask in ascending order."""
+    n = f.ground.n
+    best = min((f._fn(ElementSubset(n, mask)), mask.bit_count(), mask) for mask in range(1, (1 << n) - 1))
+    return ElementSubset(n, best[2]), best[0]
+
+
+def concave_oracle(rng, n):
+    # g(|S|) for a concave g: increments that never grow, zero and negative ones included
+    steps = sorted((int(x) for x in rng.integers(-3, 4, size=n)), reverse=True)
+    g = [0]
+    for d in steps:
+        g.append(g[-1] + d)
+    return SubmodularOracle(GroundSet(n), lambda s: g[len(s)])
+
+
+class TestNontrivialMin:
+    def test_matches_the_ascending_enumeration(self):
+        rng = philox(43)
+        for n in range(2, 11):
+            for _ in range(6):
+                # unit weights and concave values of the size make many ties
+                h = random_hypergraph(rng, n_lo=n, n_hi=n, max_weight=int(rng.integers(1, 4)))
+                for f in (CutOracle(h), concave_oracle(rng, n)):
+                    expected = ascending_nontrivial_min(f)
+                    before = f.query_count
+                    assert bruteforce_nontrivial_min(f) == expected
+                    # the walk also queries the empty and the full set
+                    assert f.query_count - before == 2 ** n
+
+    def test_rejects_a_contraction(self):
+        f = triangle_oracle()
+        with pytest.raises(ValueError, match="every element free"):
+            bruteforce_nontrivial_min(contract(f, f.ground.subset([0]), f.ground.empty()))
 
 
 def flow_sfm(h, forced_in, forced_out):
