@@ -175,9 +175,10 @@ class SubmodularOracle:
     """Counting wrapper around an exact integer-valued set function.
 
     There are two query channels, and each counts exactly one query per
-    function call: :meth:`evaluate` answers one subset, and :meth:`gray_walk`
-    answers every subset of the free elements in turn, for the exhaustive
-    blackboxes.  ``symmetric`` is a claim, checkable with
+    function call: :meth:`evaluate` answers a single query, and
+    :meth:`gray_walk` answers every subset of the free elements in turn, for
+    every exhaustive routine (the brute-force blackboxes and the property
+    checkers).  ``symmetric`` is a claim, checkable with
     :func:`check_symmetric`.
 
     A fresh oracle has every element ``free`` and an empty ``forced_in``.
@@ -279,14 +280,6 @@ class ViolationReport:
     checks: int = 0
 
 
-def _subset_masks(f) -> list[int]:
-    """Masks of all subsets of the free elements; bit i of the index picks the i-th free element."""
-    masks = [0]
-    for e in f.free:
-        masks += [x | 1 << e for x in masks]
-    return masks
-
-
 EXHAUSTIVE_SUBMODULAR_CAP = 16
 EXHAUSTIVE_SYMMETRY_CAP = 20
 
@@ -296,44 +289,51 @@ def check_submodular(f) -> ViolationReport:
 
     Runs the equivalent local condition f(A+i) + f(A+j) >= f(A+i+j) + f(A)
     over every A and i != j outside A, which covers all pairs; it needs at
-    most 16 free elements.
+    most 16 free elements.  Every value comes from one
+    :meth:`~SubmodularOracle.gray_walk`, so the check makes 2^m queries.
+    On a contraction the witness is a pair of subsets of ``free`` without
+    ``forced_in``, and its ``values`` are f with ``forced_in`` added.
     """
     m = len(f.free)
     if m > EXHAUSTIVE_SUBMODULAR_CAP:
         raise SizeLimitError(f"exhaustive submodularity check capped at {EXHAUSTIVE_SUBMODULAR_CAP} elements, got {m}")
-    n = f.ground.n
-    masks = _subset_masks(f)
-    table = [f.evaluate(ElementSubset(n, x)) for x in masks]
+    table = dict(f.gray_walk())
+    bits = [1 << e for e in f.free]
     checks = 0
-    for am in range(1 << m):
-        fa = table[am]
-        outside = [i for i in range(m) if not (am >> i) & 1]
+    for a in sorted(table):
+        fa = table[a]
+        outside = [b for b in bits if not a & b]
         for x, i in enumerate(outside):
-            ai = am | (1 << i)
+            ai = a | i
+            fi = table[ai]
             for j in outside[x + 1:]:
-                aj = am | (1 << j)
+                aj = a | j
                 checks += 1
-                if table[ai] + table[aj] < table[ai | aj] + fa:
-                    witness = (ElementSubset(n, masks[ai]), ElementSubset(n, masks[aj]))
-                    return ViolationReport(False, witness, (table[ai], table[aj], table[ai | aj], fa), checks)
+                if fi + table[aj] < table[ai | aj] + fa:
+                    witness = (ElementSubset(f.n, ai), ElementSubset(f.n, aj))
+                    return ViolationReport(False, witness, (fi, table[aj], table[ai | aj], fa), checks)
     return ViolationReport(True, checks=checks)
 
 
 def check_symmetric(f) -> ViolationReport:
-    """Search for S with f(S) != f(complement of S) over at most 20 free elements."""
+    """Search for S with f(S) != f(complement of S) over at most 20 free elements.
+
+    The complement is taken within ``free``.  Every value comes from one
+    :meth:`~SubmodularOracle.gray_walk`, so the check makes 2^m queries.
+    On a contraction the witness is a pair of subsets of ``free`` without
+    ``forced_in``, and its ``values`` are f with ``forced_in`` added.
+    """
     m = len(f.free)
     if m > EXHAUSTIVE_SYMMETRY_CAP:
         raise SizeLimitError(f"exhaustive symmetry check capped at {EXHAUSTIVE_SYMMETRY_CAP} elements, got {m}")
-    n = f.ground.n
-    masks = _subset_masks(f)
-    full = masks[-1]
+    table = dict(f.gray_walk())
+    full = f.free.mask
     checks = 0
-    # the first half of the masks (the one mask when m == 0) is one side of
-    # every complementary pair: the side without the last free element
-    for x in masks[:(len(masks) + 1) // 2]:
+    # the first half of the sorted masks (the one mask when m == 0) is one
+    # side of every complementary pair: the side without the last free element
+    for a in sorted(table)[:(len(table) + 1) // 2]:
         checks += 1
-        a, c = ElementSubset(n, x), ElementSubset(n, full ^ x)
-        fa, fc = f.evaluate(a), f.evaluate(c)
-        if fa != fc:
-            return ViolationReport(False, (a, c), (fa, fc), checks)
+        c = full ^ a
+        if table[a] != table[c]:
+            return ViolationReport(False, (ElementSubset(f.n, a), ElementSubset(f.n, c)), (table[a], table[c]), checks)
     return ViolationReport(True, checks=checks)

@@ -496,6 +496,8 @@ class HypergraphMincutResult:
     counts the max-flow solves actually run, one per distinct call.
     ``miss_bound`` is the driver's bound on the chance of missing the minimum
     (0.0 on a disconnected input, which is answered exactly).
+    ``oracle_queries`` is the cut oracle's own query count; the flow
+    blackbox never queries it, so it is 0 here.
     """
 
     value: int
@@ -517,9 +519,10 @@ def hypergraph_mincut(h: Hypergraph, cfg: DriverConfig = DriverConfig()) -> Hype
 
     Disconnected inputs short-circuit to value 0, with the component of
     vertex 0 (or its complement, whichever ``canonical_side`` picks) as the
-    side.  ``step2_rep_total`` sums the representation sizes of every
-    round-2 instance solved; per-trial sums are in the driver's
-    ``trial_stats``.
+    side.  ``step2_rep_total`` sums ``rep_size`` over every round-2
+    blackbox call, a repeated query answered from memory included, so it
+    can exceed the sum over the distinct queries solved; per-trial sums are
+    in the driver's ``trial_stats``.
     """
     if h.n < 2:
         raise ValueError("min cut needs at least 2 vertices")

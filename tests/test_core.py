@@ -331,14 +331,21 @@ class TestCheckers:
         assert check_submodular(g).ok
 
     def test_accounting_is_pinned(self):
-        # submodular: one query per subset, one check per (A, i < j) outside A;
-        # symmetric: one check and two queries per complementary pair
+        # both: one query per subset of the free elements, pass or fail;
+        # submodular: one check per (A, i < j) outside A;
+        # symmetric: one check per complementary pair up to the first violation
         f = path_oracle()
         report = check_submodular(f)
         assert (report.ok, report.checks, f.query_count) == (True, 6, 8)
         f = path_oracle()
         report = check_symmetric(f)
         assert (report.ok, report.checks, f.query_count) == (True, 4, 8)
+        f = SubmodularOracle(GroundSet(3), lambda s: len(s))
+        report = check_symmetric(f)
+        assert (report.ok, report.checks, f.query_count) == (False, 1, 8)
+        f = path_oracle()
+        report = check_symmetric(contract(f, f.ground.subset([0, 1]), f.ground.subset([2])))
+        assert (report.ok, report.checks, f.query_count) == (True, 1, 1)
 
         f = path_oracle()
         report = check_submodular(contract(f, f.ground.subset([0]), f.ground.empty()))
@@ -350,6 +357,52 @@ class TestCheckers:
         assert report.witness == (f.ground.subset([0]), f.ground.subset([1]))
         assert report.values == (1, 1, 4, 0)
         assert (report.checks, f.query_count) == (1, 32)
+
+
+def random_table_oracle(rng):
+    """A fresh or contracted oracle over a random integer table on n <= 6.
+
+    Half the tables are symmetrized and the values are small, so both
+    checkers see passing and failing oracles.
+    """
+    n = int(rng.integers(1, 7))
+    full = (1 << n) - 1
+    table = [int(v) for v in rng.integers(0, 3, size=1 << n)]
+    if rng.integers(2):
+        table = [table[x] + table[full ^ x] for x in range(1 << n)]
+    f = SubmodularOracle(GroundSet(n), lambda s: table[s.mask])
+    if rng.integers(2):
+        side = rng.integers(0, 3, size=n)  # 0 free, 1 forced in, 2 forced out
+        f = contract(f, *(f.ground.subset(np.flatnonzero(side == k)) for k in (1, 2)))
+    forced, free = f.forced_in.mask, f.free.mask
+    subsets = [x for x in range(full + 1) if not x & ~free]
+    return f, subsets, lambda x: table[forced | x]
+
+
+class TestCheckersAgainstTheDefinition:
+    def test_random_tables_fresh_and_contracted(self):
+        rng = philox(29)
+        outcomes = set()
+        for _ in range(600):
+            f, subsets, value = random_table_oracle(rng)
+            free = f.free.mask
+            submodular = all(value(a) + value(b) >= value(a | b) + value(a & b) for a in subsets for b in subsets)
+            symmetric = all(value(x) == value(free ^ x) for x in subsets)
+            sub, sym = check_submodular(f), check_symmetric(f)
+            assert (sub.ok, sym.ok) == (submodular, symmetric)
+            outcomes.add((sub.ok, sym.ok))
+            if not sub.ok:
+                a, b = sub.witness
+                assert not (a.mask | b.mask) & ~free
+                assert sub.values == tuple(f.evaluate(s) for s in (a, b, a | b, a & b))
+                fa, fb, fu, fi = sub.values
+                assert fa + fb < fu + fi
+            if not sym.ok:
+                a, c = sym.witness
+                assert not (a.mask | c.mask) & ~free and c.mask == free ^ a.mask
+                assert sym.values == (f.evaluate(a), f.evaluate(c))
+                assert sym.values[0] != sym.values[1]
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestNontrivialMinimizerExists:
